@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 = pass, 1 = mathematical failure (verification, paraunitarity,
-low-pass, ...), 2 = I/O or format error.  The LOOPWAVE_TOL environment
-variable overrides the default tolerance of every command that takes --tol.
+low-pass, ...), 2 = I/O or format error, or a request too large for memory.
+The LOOPWAVE_TOL environment variable overrides the default tolerance of
+every command that takes --tol.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import cuntz_rep, fileio, irreducibility, qmf, wavelet
 from .fileio import FileFormatError
-from .loopgroup import FilterSystem, Loop, filters_to_loop, loop_to_filters
+from .loopgroup import FilterSystem, Loop, filters_to_loop, loop_to_filters, polyphase_matrix
 
 PASS, FAIL, USAGE = 0, 1, 2
 
@@ -50,7 +51,7 @@ def _load_as_loop(path: str, tol: float) -> Loop:
     else:
         loaded = fileio.load_filter_file(path)
         assert isinstance(loaded, FilterSystem)
-        mat = filters_to_loop(loaded).mat
+        mat = polyphase_matrix(loaded)
     ok, residual = mat.is_paraunitary(tol)
     if not ok:
         raise _MathFailure(
@@ -255,11 +256,10 @@ def cmd_commutant(args: argparse.Namespace) -> int:
     svals = np.array2string(report.singular_values[:16], precision=3, separator=", ")
     _emit(
         {
-            "approximate_dimension": report.dimension,
-            "saturated": report.saturated,
+            "dimension": report.dimension,
             "band": [report.band.k_min, report.band.k_max],
             "leading_singular_values": svals,
-            "note": "heuristic: truncation edge effects; not a classification",
+            "note": "exact: fixed points of sigma(A) = sum_i V_i A V_i^* on the attractor band",
         },
         args.json,
     )
@@ -324,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=tol)
     p.set_defaults(func=cmd_complete)
 
-    p = sub.add_parser("commutant", help="approximate commutant dimension (heuristic)")
+    p = sub.add_parser("commutant", help="commutant dimension, exact on the attractor band")
     p.add_argument("path")
     p.add_argument("--band", type=int, required=True)
     p.add_argument("--tol", type=float, default=tol)
@@ -349,6 +349,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return FAIL
+    except MemoryError:
+        print("error: out of memory; reduce the requested size (--band, --iters or --grid)", file=sys.stderr)
+        return USAGE
 
 
 if __name__ == "__main__":

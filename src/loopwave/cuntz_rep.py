@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .laurent import LaurentPoly, MatrixLaurent
 from .loopgroup import FilterSystem, transition
@@ -239,66 +237,51 @@ def transition_operator_matrix(rep_a: TruncatedRep, rep_b: TruncatedRep, tol: fl
 
 @dataclass(frozen=True)
 class CommutantReport:
-    """Heuristic commutant probe of a truncated representation.
+    """Exact commutant of the Cuntz representation of a filter system.
 
-    dimension counts near-null directions of the commutation constraints
-    restricted to the interior band; truncation edge effects make this an
-    upper-bound style diagnostic only, not a classification.  saturated
-    marks that the count hit the computed spectrum size.
+    dimension is the dimension of the fixed-point space of
+    sigma(A) = sum_i V_i A V_i^* on B(K), band is the attractor band K,
+    and singular_values are those of sigma - I, ascending.
     """
 
     dimension: int
     singular_values: np.ndarray
     band: Band
-    saturated: bool
 
 
-def commutant_diagnostic(rep: TruncatedRep, tol: float = 1e-6, max_dims: int = 64) -> CommutantReport:
-    """Approximate dimension of operators commuting with all S_i and S_i^*.
+def commutant_diagnostic(rep: TruncatedRep, tol: float = 1e-6) -> CommutantReport:
+    """Dimension of the operators commuting with all S_i and S_i^*.
 
-    Assembles X S_i - S_i X = 0 and X S_i^* - S_i^* X = 0 with everything
-    compressed to the interior band, and counts singular values of the
-    stacked constraint operator below tol.  X = I always satisfies the
-    constraints, so the dimension is at least 1.
+    With [t_min, t_max] the combined filter support, the attractor band is
+    K = [ceil(-t_max/(N-1)), floor(-t_min/(N-1))].  S_i* sends index p to
+    the indices k with Nk + t = p, t in the support, so K is
+    S_i*-invariant.  K is also cyclic for FIR filters: S_i* contracts any
+    finite support into K, so a finitely supported f has S_w* f supported
+    in K for all words w of some length, and f = sum_w S_w S_w* f because
+    sum_w S_w S_w* = I over the words of a fixed length.  By
+    Bratteli-Jorgensen-Kishimoto-Werner (*Pure states on O_d*) the
+    commutant is then isomorphic to the fixed points of
+    sigma(A) = sum_i V_i A V_i^* on B(K), with V_i = P_K S_i|_K.  With A
+    flattened row-major, sigma = sum_i kron(V_i, conj V_i), and the
+    dimension is the number of singular values of sigma - I below tol.
+    The V_i are sliced out of rep.S, so the input band must contain K.
     """
-    inner = interior_band(rep)
-    if inner is None:
-        raise ValueError("representation has no interior band; enlarge the input band")
     n = rep.n
-    d = inner.size
-    root = math.sqrt(n)
-    eye = sp.identity(d, format="csr", dtype=complex)
-
-    gram = sp.csr_matrix((d * d, d * d), dtype=complex)
-    for i in range(n):
-        f = rep.system.filters[i]
-        s = sp.lil_matrix((d, d), dtype=complex)
-        for kk, k in enumerate(inner.indices()):
-            for t in f.support():
-                p = n * k + t
-                if p in inner:
-                    s[p - inner.k_min, kk] = root * f.coeff(t)
-        s = s.tocsr()
-        for op in (s, s.conj().T.tocsr()):
-            constraint = sp.kron(op.T, eye) - sp.kron(eye, op)
-            gram = gram + constraint.conj().T @ constraint
-
-    if d * d <= 600:
-        eigvals = np.linalg.eigvalsh(gram.toarray())
-        saturable = False
-    else:
-        k = min(max_dims, d * d - 2)
-        eigvals = spla.eigsh(
-            gram.tocsc(), k=k, sigma=-1e-10, which="LM", return_eigenvectors=False
+    t_min, t_max = _filter_support(rep.system)
+    attractor = Band(math.ceil(-t_max / (n - 1)), math.floor(-t_min / (n - 1)))
+    if attractor.k_min not in rep.in_band or attractor.k_max not in rep.in_band:
+        raise ValueError(
+            f"input band [{rep.in_band.k_min}, {rep.in_band.k_max}] does not contain the "
+            f"attractor band K = [{attractor.k_min}, {attractor.k_max}]; widen the band"
         )
-        eigvals = np.sort(eigvals)
-        saturable = True
-    svals = np.sqrt(np.clip(eigvals, 0.0, None))
-    dimension = int(np.count_nonzero(svals < tol))
-    saturated = saturable and dimension == len(svals)
+    # K lies in the output band too: by completeness every p in K is Nk + t
+    # for some k, and that k is in K by the invariance of K under S_i*.
+    rows = slice(attractor.k_min - rep.out_band.k_min, attractor.k_max - rep.out_band.k_min + 1)
+    cols = slice(attractor.k_min - rep.in_band.k_min, attractor.k_max - rep.in_band.k_min + 1)
+    sigma = sum(np.kron(s[rows, cols], s[rows, cols].conj()) for s in rep.S)
+    svals = np.linalg.svd(sigma - np.eye(attractor.size**2), compute_uv=False)[::-1]
     return CommutantReport(
-        dimension=dimension,
+        dimension=int(np.count_nonzero(svals < tol)),
         singular_values=svals,
-        band=inner,
-        saturated=saturated,
+        band=attractor,
     )

@@ -122,11 +122,11 @@ def loop_to_filters(loop: Loop) -> FilterSystem:
     return FilterSystem(n, filters, verified=True)
 
 
-def filters_to_loop(system: FilterSystem, tol: float = CERTIFY_TOL) -> Loop:
-    """Polyphase loop of a filter system: A_{j,k}(z) = sqrt(N) sum_l c_{j,lN+k} z^l.
+def polyphase_matrix(system: FilterSystem) -> MatrixLaurent:
+    """Polyphase matrix of a filter system: A_{j,k}(z) = sqrt(N) sum_l c_{j,lN+k} z^l.
 
-    The paraunitarity of the result is exactly the QMF property of the
-    input, so the returned loop is certified only when that check passes.
+    Its paraunitarity is exactly the QMF property of the input; callers
+    that need the residual run the certificate themselves, once.
     """
     n = system.n
     s = math.sqrt(n)
@@ -144,7 +144,12 @@ def filters_to_loop(system: FilterSystem, tol: float = CERTIFY_TOL) -> Loop:
             coeffs = [s * m.coeff(l * n + k) for l in range(lo, hi + 1)]
             row.append(LaurentPoly(lo, coeffs))
         rows.append(row)
-    return try_certify_loop(MatrixLaurent(rows), tol)
+    return MatrixLaurent(rows)
+
+
+def filters_to_loop(system: FilterSystem, tol: float = CERTIFY_TOL) -> Loop:
+    """Polyphase loop of a filter system, certified only when it is paraunitary."""
+    return try_certify_loop(polyphase_matrix(system), tol)
 
 
 def act(loop: Loop, system: FilterSystem) -> FilterSystem:

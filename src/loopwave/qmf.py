@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .laurent import LaurentPoly, unit_grid
-from .loopgroup import FilterSystem, filters_to_loop
+from .loopgroup import FilterSystem, polyphase_matrix
 
 #: Default coefficient-level tolerance for the exact QMF certificate.
 EXACT_TOL = 1e-10
@@ -94,8 +94,7 @@ def verify_qmf(system: FilterSystem, tol: float = EXACT_TOL, grid_size: int = DE
     n = system.n
     if grid_size <= 0 or grid_size % n != 0:
         raise ValueError(f"grid_size must be a positive multiple of {n}")
-    loop = filters_to_loop(system, tol)
-    _, unitary_residual = loop.mat.is_paraunitary(tol)
+    _, unitary_residual = polyphase_matrix(system).is_paraunitary(tol)
 
     rho = np.exp(2j * np.pi * np.arange(n) / n)
     grid_residual = 0.0

@@ -167,9 +167,11 @@ def cascade(m0: LaurentPoly, n: int, level: int, tol: float = 1e-10) -> ScalingF
     Requires the scalar QMF condition and the averaging property
     m_0(1) = 1; a filter supported away from exponent 0 is translated there
     first and the shift recorded.  Each iteration refines the grid by a
-    factor of N; successive sup-differences on the common grid are recorded
-    so convergence can be judged by the caller.  Under the point seed they
-    are rounding-level, since every iterate is exact at its grid points.
+    factor of N and records its sup-difference from the previous iterate,
+    so convergence can be judged by the caller: under the point seed at
+    the coarse grid points, where both iterates hold exact values of phi
+    (so the increments are rounding-level); under the box seed on every
+    fine cell, against the previous piecewise-constant iterate.
     """
     if level < 0:
         raise ValueError("level must be >= 0")
@@ -207,7 +209,11 @@ def cascade(m0: LaurentPoly, n: int, level: int, tol: float = 1e-10) -> ScalingF
         peak = float(np.max(np.abs(nxt)))
         if peak > DIVERGENCE_GUARD:
             raise RuntimeError(f"cascade diverged: sup |phi| = {peak:.3e} at iteration {t + 1}")
-        deltas.append(float(np.max(np.abs(nxt[::n] - phi))))
+        if seed == "point":
+            delta = np.max(np.abs(nxt[::n] - phi))
+        else:
+            delta = np.max(np.abs(nxt - np.repeat(phi, n)[:new_size]))
+        deltas.append(float(delta))
         phi = nxt
     phi.setflags(write=False)
     return ScalingFunctionSamples(

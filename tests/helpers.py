@@ -1,8 +1,9 @@
 """Independent numeric oracles used by the tests.
 
 These deliberately avoid the library's exact polyphase code paths: fiber
-sums are evaluated at sampled roots, kernels come from scipy, and the
-corner search is exhaustive.  They exist to cross-check the production
+sums are evaluated at sampled roots, kernels come from scipy, the corner
+search is exhaustive, and the commutant is read off the band-truncated
+commutation constraints.  They exist to cross-check the production
 implementations, so keep them dumb.
 """
 
@@ -13,7 +14,7 @@ import itertools
 import numpy as np
 import scipy.linalg
 
-from loopwave import FilterSystem, Loop
+from loopwave import Band, FilterSystem, Loop
 
 
 def fiber_points(z: complex, n: int) -> np.ndarray:
@@ -42,6 +43,36 @@ def sampled_transition(target: FilterSystem, source: FilterSystem, z: complex) -
         for j in range(n):
             out[i, j] = sum(target.filters[i](w) * np.conj(source.filters[j](w)) for w in ws)
     return out
+
+
+def truncated_commutant_dimension(system: FilterSystem, band: Band, tol: float = 1e-6) -> int:
+    """Commutant dimension probed on a finite band of Fourier indices.
+
+    Compresses every S_i (S_i[p, k] = sqrt(N) c_{i, p-Nk}) to the interior
+    band, where sum_i S_i S_i* = 1 holds exactly, stacks the constraints
+    X S - S X = 0 for S = S_i and S_i^*, and counts the near-null
+    directions of the dense Gram matrix.  Truncation makes this depend on
+    the band; on small bands that hold the attractor band well inside the
+    interior, it agrees with the exact count.
+    """
+    n = system.n
+    support = [t for f in system.filters for t in f.support()]
+    t_min, t_max = min(support), max(support)
+    inner = range(n * band.k_min + t_max - n + 1, n * band.k_max + t_min + n)
+    d = len(inner)
+    eye = np.eye(d)
+    gram = np.zeros((d * d, d * d), dtype=complex)
+    for f in system.filters:
+        s = np.zeros((d, d), dtype=complex)
+        for kk, k in enumerate(inner):
+            for t in f.support():
+                if n * k + t in inner:
+                    s[n * k + t - inner[0], kk] = np.sqrt(n) * f.coeff(t)
+        for op in (s, s.conj().T):
+            constraint = np.kron(op.T, eye) - np.kron(eye, op)
+            gram += constraint.conj().T @ constraint
+    svals = np.sqrt(np.clip(np.linalg.eigvalsh(gram), 0.0, None))
+    return int(np.count_nonzero(svals < tol))
 
 
 def brute_kernels(loop: Loop, tol: float = 1e-10) -> dict[int, np.ndarray]:

@@ -267,10 +267,11 @@ def test_criterion_7_corner_detection_suite():
 
 
 def test_criterion_8_commutant_consistency_diagnostic():
-    # Non-blocking by design: reducible verdicts whose band-truncated
-    # commutant stays trivial are recorded as known-issue fixtures (the
-    # corner reading of reducibility versus the truncated commutant is the
-    # documented open point), never silently passed and never failed.
+    # Non-blocking by design: reducible verdicts whose exact commutant (the
+    # fixed points of sigma on the attractor band K) is trivial are recorded
+    # as known-issue fixtures (the corner reading of reducibility versus the
+    # commutant is the documented open point), never silently passed and
+    # never failed.
     t0 = time.perf_counter()
     fixtures = {
         "identity": certify_loop(MatrixLaurent.identity(2)),
@@ -294,8 +295,8 @@ def test_criterion_8_commutant_consistency_diagnostic():
             observed_known_issues.add(name)
             lines.append(
                 f"    KNOWN-ISSUE {name}: classified reducible (corner reading) but "
-                f"truncated commutant dimension is {diag.dimension} on band "
-                f"[{diag.band.k_min},{diag.band.k_max}]"
+                f"commutant dimension is {diag.dimension} on attractor band "
+                f"K = [{diag.band.k_min},{diag.band.k_max}]"
             )
         else:
             lines.append(

@@ -1,14 +1,17 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from loopwave import FilterSystem, LaurentPoly, MatrixLaurent, base_system, daubechies4_system, haar_system
-from loopwave import fileio
+import loopwave
+from loopwave import cuntz_rep, fileio
 from loopwave.cli import main
 
 ROOT2 = math.sqrt(2.0)
@@ -269,8 +272,30 @@ class TestCommutantCommand:
     def test_haar_runs(self, haar_path, capsys):
         assert main(["commutant", haar_path, "--band", "6", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["approximate_dimension"] >= 1
+        assert report["dimension"] >= 1
         assert "note" in report
+
+    def test_d4_exact_dimension(self, d4_path, capsys):
+        assert main(["commutant", d4_path, "--band", "3", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["dimension"] == 1
+        assert report["band"] == [-3, 0]
+
+    def test_band_missing_attractor_exit1(self, d4_path, capsys):
+        assert main(["commutant", d4_path, "--band", "2"]) == 1
+        assert "K = [-3, 0]" in capsys.readouterr().err
+
+
+class TestMemoryError:
+    def test_exit2_without_traceback(self, d4_path, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cuntz_rep, "build_rep", exhausted)
+        assert main(["cuntz-check", d4_path, "--band", "8"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
 
 
 class TestEnvironmentTolerance:
@@ -287,6 +312,14 @@ class TestEnvironmentTolerance:
 
 
 class TestConsoleScript:
+    def test_import_loads_no_scipy(self):
+        src = str(Path(loopwave.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys, loopwave, loopwave.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_entry_point_runs(self, haar_path):
         proc = subprocess.run(
             [sys.executable, "-m", "loopwave.cli", "verify", haar_path],

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_vector, seeded_system
+from helpers import truncated_commutant_dimension
 from loopwave import (
     Band,
     LaurentPoly,
@@ -11,7 +12,11 @@ from loopwave import (
     adjoint_apply,
     base_system,
     build_rep,
+    certify_loop,
     commutant_diagnostic,
+    daubechies4_system,
+    haar_system,
+    loop_to_filters,
     reconstruct,
     transition_operator_matrix,
     verify_cuntz,
@@ -236,3 +241,28 @@ class TestCommutantDiagnostic:
             dims.append(commutant_diagnostic(rep).dimension)
         print(f"commutant dimension vs band growth (base monomials): {dims}")
         assert all(d >= 1 for d in dims)
+
+    @pytest.mark.parametrize(
+        "system",
+        [base_system(2), haar_system(), daubechies4_system(), seeded_system(2, 1, 3), seeded_system(2, 2, 11)],
+        ids=["identity", "haar", "d4", "elementary-deg1", "generic-deg2"],
+    )
+    def test_agrees_with_truncated_oracle(self, system):
+        band = Band(-6, 6)
+        expected = truncated_commutant_dimension(system, band)
+        assert commutant_diagnostic(build_rep(system, band)).dimension == expected
+
+    def test_spread_monomials_pinned(self):
+        # diag(z^2, z^5): the truncated probe needs band 12 to find all four
+        loop = certify_loop(MatrixLaurent.diag([LaurentPoly.monomial(2), LaurentPoly.monomial(5)]))
+        system = loop_to_filters(loop)
+        for half_width in (11, 12, 24):
+            report = commutant_diagnostic(build_rep(system, Band(-half_width, half_width)))
+            assert report.dimension == 4
+            assert report.band == Band(-11, -4)
+
+    def test_band_missing_attractor_rejected(self, d4):
+        # K = [-3, 0] for the 4-tap filters
+        assert commutant_diagnostic(build_rep(d4, Band(-3, 3))).band == Band(-3, 0)
+        with pytest.raises(ValueError, match=r"K = \[-3, 0\]"):
+            commutant_diagnostic(build_rep(d4, Band(-2, 2)))

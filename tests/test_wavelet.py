@@ -45,6 +45,15 @@ class TestCascade:
         assert phi.seed == "box"
         assert np.max(np.abs(phi.values - expected)) == 0.0
 
+    def test_spread_box_comb_not_converged(self):
+        # (1 + z^3)/2 refines phi = 1/3 on [0, 3); T has eigenvalue 1 twice,
+        # so the box seed is used, and its iterates are a comb of unit cells
+        # that never approach phi: each must differ from the one before.
+        phi = cascade(LaurentPoly(0, (0.5, 0.0, 0.0, 0.5)), 2, 10)
+        assert phi.seed == "box"
+        assert min(phi.deltas) >= 0.5
+        assert not phi.converged
+
     def test_d4_support_integral(self, d4):
         phi = cascade(d4.filters[0], 2, 10)
         assert phi.seed == "point"
