@@ -9,7 +9,6 @@ every command that takes --tol.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -20,6 +19,7 @@ import numpy as np
 
 from . import cuntz_rep, fileio, irreducibility, qmf, wavelet
 from .fileio import FileFormatError
+from .laurent import MatrixLaurent
 from .loopgroup import FilterSystem, Loop, filters_to_loop, loop_to_filters, polyphase_matrix
 
 PASS, FAIL, USAGE = 0, 1, 2
@@ -43,15 +43,7 @@ def _emit(report: dict[str, Any], as_json: bool) -> None:
             print(f"{key}: {value}")
 
 
-def _load_as_loop(path: str, tol: float) -> Loop:
-    """Read either file kind as a loop; filter files go through the polyphase map."""
-    kind = fileio.detect_kind(path)
-    if kind == "loop":
-        mat = fileio.load_loop_file(path)
-    else:
-        loaded = fileio.load_filter_file(path)
-        assert isinstance(loaded, FilterSystem)
-        mat = polyphase_matrix(loaded)
+def _certified_loop(path: str, mat: MatrixLaurent, tol: float) -> Loop:
     ok, residual = mat.is_paraunitary(tol)
     if not ok:
         raise _MathFailure(
@@ -60,24 +52,32 @@ def _load_as_loop(path: str, tol: float) -> Loop:
     return Loop(mat, certified=True)
 
 
+def _load_as_loop(path: str, tol: float) -> Loop:
+    """Read either file kind as a loop; filter files go through the polyphase map."""
+    loaded = fileio.load_input(path)
+    mat = polyphase_matrix(loaded) if isinstance(loaded, FilterSystem) else loaded
+    return _certified_loop(path, mat, tol)
+
+
 def _load_system(path: str, tol: float) -> FilterSystem:
-    kind = fileio.detect_kind(path)
-    if kind == "filters":
-        loaded = fileio.load_filter_file(path)
-        assert isinstance(loaded, FilterSystem)
+    loaded = fileio.load_input(path)
+    if isinstance(loaded, FilterSystem):
         return qmf.certify(loaded, tol=tol)
-    loop = _load_as_loop(path, tol)
-    return loop_to_filters(loop)
+    return loop_to_filters(_certified_loop(path, loaded, tol))
 
 
 class _MathFailure(Exception):
     """Command-level mathematical failure; maps to exit code 1."""
 
 
-def _complex_cell(value: complex) -> str:
-    if abs(value.imag) <= 1e-12:
-        return repr(float(value.real))
-    return repr(complex(value))
+def _cells(values: np.ndarray) -> list[str]:
+    """CSV cells of a sample column: the real part when the imaginary part is
+    at most 1e-12, else the complex value."""
+    real = list(map(repr, np.real(values).tolist()))
+    is_real = np.abs(np.imag(values)) <= 1e-12
+    if is_real.all():
+        return real
+    return [r if ok else repr(c) for r, ok, c in zip(real, is_real.tolist(), values.tolist())]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -100,12 +100,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
-    kind = fileio.detect_kind(args.path)
+    loaded = fileio.load_input(args.path)
     if args.to == "loop":
-        if kind != "filters":
+        if not isinstance(loaded, FilterSystem):
             raise FileFormatError(f"{args.path}: expected a filter file for --to loop")
-        loaded = fileio.load_filter_file(args.path)
-        assert isinstance(loaded, FilterSystem)
         loop = filters_to_loop(loaded, tol=args.tol)
         if not loop.certified:
             raise _MathFailure(
@@ -113,9 +111,9 @@ def cmd_convert(args: argparse.Namespace) -> int:
             )
         fileio.save_loop_file(args.out, loop.mat)
     else:
-        if kind != "loop":
+        if isinstance(loaded, FilterSystem):
             raise FileFormatError(f"{args.path}: expected a loop file for --to filters")
-        loop = _load_as_loop(args.path, args.tol)
+        loop = _certified_loop(args.path, loaded, args.tol)
         fileio.save_filter_file(args.out, loop_to_filters(loop))
     print(f"wrote {args.out}")
     return PASS
@@ -161,7 +159,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_cascade(args: argparse.Namespace) -> int:
     loaded = fileio.load_filter_file(args.path)
     assert isinstance(loaded, FilterSystem)
-    report = qmf.verify_qmf(loaded, tol=args.tol)
+    # The grid check needs a multiple of N; round the default grid up to one.
+    grid = -(-qmf.DEFAULT_GRID // loaded.n) * loaded.n
+    report = qmf.verify_qmf(loaded, tol=args.tol, grid_size=grid)
     if not report.passed:
         raise _MathFailure(
             f"{args.path}: filter system fails QMF verification "
@@ -175,16 +175,20 @@ def cmd_cascade(args: argparse.Namespace) -> int:
     phi = wavelet.cascade(system.filters[0], system.n, args.iters, tol=args.tol)
     psi = wavelet.wavelets(system, phi)
 
+    # Built column by column and joined with csv's "\r\n" line terminator;
+    # no cell holds a character that csv would quote.  Row i holds x = i step,
+    # phi there, and each psi at its fine index i N - start (0 off its support).
+    rows = len(phi.values)
+    columns = [_cells(np.arange(rows) * phi.step), _cells(phi.values)]
+    fine = np.arange(rows) * system.n - psi.start_index
+    inside = (fine >= 0) & (fine < psi.values.shape[1])
+    for g in range(system.n - 1):
+        col = np.zeros(rows, dtype=psi.values.dtype)
+        col[inside] = psi.values[g, fine[inside]]
+        columns.append(_cells(col))
+    header = ",".join(["x", "phi"] + [f"psi_{i}" for i in range(1, system.n)])
     with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "phi"] + [f"psi_{i}" for i in range(1, system.n)])
-        for i in range(len(phi.values)):
-            row = [repr(i * phi.step), _complex_cell(phi.values[i])]
-            fine = i * system.n - psi.start_index
-            for g in range(system.n - 1):
-                val = psi.values[g, fine] if 0 <= fine < psi.values.shape[1] else 0.0
-                row.append(_complex_cell(val))
-            writer.writerow(row)
+        fh.write("\r\n".join([header] + [",".join(cells) for cells in zip(*columns)]) + "\r\n")
     print(
         f"wrote {args.out} ({len(phi.values)} rows, seed={phi.seed}, "
         f"converged={phi.converged}, last_delta={phi.last_delta:.3e})"

@@ -79,7 +79,10 @@ def _check_header(doc: Any, path: str | Path) -> int:
 def load_filter_file(path: str | Path, allow_partial: bool = False) -> FilterSystem | tuple[int, list[LaurentPoly]]:
     """Load a filter file; with allow_partial, fewer than n filters are
     accepted and (n, polys) is returned instead of a FilterSystem."""
-    doc = _load_json(path)
+    return _filters_from_doc(_load_json(path), path, allow_partial)
+
+
+def _filters_from_doc(doc: Any, path: str | Path, allow_partial: bool = False) -> FilterSystem | tuple[int, list[LaurentPoly]]:
     n = _check_header(doc, path)
     records = doc.get("filters")
     if not isinstance(records, list):
@@ -104,7 +107,10 @@ def save_filter_file(path: str | Path, system: FilterSystem) -> None:
 
 
 def load_loop_file(path: str | Path) -> MatrixLaurent:
-    doc = _load_json(path)
+    return _loop_from_doc(_load_json(path), path)
+
+
+def _loop_from_doc(doc: Any, path: str | Path) -> MatrixLaurent:
     n = _check_header(doc, path)
     grid = doc.get("entries")
     if not isinstance(grid, list) or len(grid) != n or any(not isinstance(row, list) or len(row) != n for row in grid):
@@ -125,9 +131,22 @@ def save_loop_file(path: str | Path, mat: MatrixLaurent) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def load_input(path: str | Path) -> FilterSystem | MatrixLaurent:
+    """Read a filter file or a loop file, whichever it is, parsing it once."""
+    doc = _load_json(path)
+    if _kind(doc, path) == "filters":
+        system = _filters_from_doc(doc, path)
+        assert isinstance(system, FilterSystem)
+        return system
+    return _loop_from_doc(doc, path)
+
+
 def detect_kind(path: str | Path) -> str:
     """'filters' or 'loop', judged by which payload key the file carries."""
-    doc = _load_json(path)
+    return _kind(_load_json(path), path)
+
+
+def _kind(doc: Any, path: str | Path) -> str:
     if isinstance(doc, dict):
         if "filters" in doc:
             return "filters"

@@ -1,7 +1,8 @@
 """Complex Laurent polynomials on the unit circle, and matrices of them.
 
 Coefficients are stored densely over the support interval, starting at
-``offset`` (the lowest exponent).  All values are immutable after
+``offset`` (the lowest exponent); a matrix of them stores one (L, n, n)
+coefficient tensor, lag l holding the coefficient matrix of z^(lo + l).  All values are immutable after
 construction; arithmetic is exact coefficient arithmetic in double
 precision.  The circle adjoint ``star`` satisfies star(p)(z) = conj(p(z))
 for |z| = 1, which is what makes paraunitarity a finite coefficient-level
@@ -223,16 +224,71 @@ class ParaunitaryResult(NamedTuple):
     residual: float
 
 
-@dataclass(frozen=True)
-class MatrixLaurent:
-    """A square matrix of Laurent polynomials.
+def lag_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficient tensor of the product A(z) B(z).
 
-    Houses loops T -> U_N(C) when paraunitary, i.e. when star(M) @ M equals
-    the identity as an exact Laurent identity.
+    ``a`` is (La, p, q) and ``b`` is (Lb, q, r), each indexed by lag from its
+    own lowest exponent; the result is (La + Lb - 1, p, r), starting at the
+    sum of the two lowest exponents.  Both tensors must be nonempty.
+    """
+    out = np.zeros((len(a) + len(b) - 1, a.shape[1], b.shape[2]), dtype=complex)
+    if len(a) <= len(b):
+        for k in range(len(a)):
+            out[k : k + len(b)] += a[k] @ b
+    else:
+        for k in range(len(b)):
+            out[k : k + len(a)] += a @ b[k]
+    return out
+
+
+def lag_adjoint(c: np.ndarray) -> np.ndarray:
+    """Coefficient tensor of the circle adjoint: lags reversed, each matrix
+    conjugate-transposed.  The lowest exponent lo becomes -(lo + L - 1)."""
+    return c[::-1].conj().transpose(0, 2, 1)
+
+
+def _entry_spans(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last lag of each entry with modulus above TRIM_TOL, i.e. the
+    support LaurentPoly keeps; an entry with none gets the empty span (L, -1)."""
+    if len(c) == 0:
+        return np.zeros(c.shape[1:], dtype=int), np.full(c.shape[1:], -1)
+    big = np.abs(c) > TRIM_TOL
+    has = big.any(axis=0)
+    first = np.where(has, big.argmax(axis=0), len(c))
+    last = np.where(has, len(c) - 1 - big[::-1].argmax(axis=0), -1)
+    return first, last
+
+
+def _in_span(c: np.ndarray, first: np.ndarray, last: np.ndarray) -> np.ndarray:
+    lags = np.arange(len(c))[:, None, None]
+    return (lags >= first) & (lags <= last)
+
+
+def _trimmed_max(c: np.ndarray) -> float:
+    """Largest coefficient modulus of a coefficient tensor, with every entry
+    end-trimmed at TRIM_TOL first, as LaurentPoly trims: an entry whose
+    coefficients all lie at or below TRIM_TOL counts as 0."""
+    if len(c) == 0:
+        return 0.0
+    peak = np.abs(c).max(axis=0)
+    peak[peak <= TRIM_TOL] = 0.0
+    return float(peak.max())
+
+
+class MatrixLaurent:
+    """A square matrix of Laurent polynomials, stored as one coefficient tensor.
+
+    ``tensor[l]`` is the constant n x n matrix multiplying z^(lo + l), so
+    A(z) = sum_l tensor[l] z^(lo + l).  The storage is canonical: each entry
+    is end-trimmed at TRIM_TOL exactly as its LaurentPoly would be, and the
+    first and last lags carry a kept coefficient (the zero matrix has no
+    lags and lo = 0).  ``entries`` is the same matrix as a grid of
+    LaurentPoly, built on first access.  Paraunitary matrices, those with
+    star(M) @ M equal to the identity as an exact Laurent identity, house
+    the loops T -> U_N(C).
     """
 
-    n: int
-    entries: tuple[tuple[LaurentPoly, ...], ...]
+    __slots__ = ("n", "lo", "tensor", "_entries")
 
     def __init__(self, entries: Sequence[Sequence[LaurentPoly]]):
         rows = tuple(tuple(row) for row in entries)
@@ -243,23 +299,58 @@ class MatrixLaurent:
             for p in row:
                 if not isinstance(p, LaurentPoly):
                     raise TypeError("matrix entries must be LaurentPoly")
+        live = [p for row in rows for p in row if not p.is_zero]
+        lo = min((p.valuation for p in live), default=0)
+        length = max((p.degree for p in live), default=lo - 1) - lo + 1
+        tensor = np.zeros((length, n, n), dtype=complex)
+        for i, row in enumerate(rows):
+            for j, p in enumerate(row):
+                tensor[p.offset - lo : p.offset - lo + len(p.coeffs), i, j] = p.coeffs
+        self._init(n, lo, tensor, rows)
+
+    def _init(self, n: int, lo: int, tensor: np.ndarray, entries=None) -> None:
+        tensor.setflags(write=False)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "lo", int(lo))
+        object.__setattr__(self, "tensor", tensor)
+        object.__setattr__(self, "_entries", entries)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"MatrixLaurent is immutable; cannot set {name!r}")
+
+    @classmethod
+    def _canonical(cls, n: int, lo: int, tensor: np.ndarray) -> MatrixLaurent:
+        out = cls.__new__(cls)
+        out._init(n, lo, tensor)
+        return out
+
+    @classmethod
+    def from_tensor(cls, lo: int, tensor: np.ndarray) -> MatrixLaurent:
+        """The matrix sum_l tensor[l] z^(lo + l), trimmed to canonical form."""
+        c = np.asarray(tensor, dtype=complex)
+        if c.ndim != 3 or c.shape[1] != c.shape[2] or c.shape[1] == 0:
+            raise ValueError("coefficient tensor must have shape (L, n, n) with n >= 1")
+        if not np.isfinite(c).all():
+            raise ValueError("non-finite coefficient in coefficient tensor")
+        first, last = _entry_spans(c)
+        if (last < 0).all():
+            return cls._canonical(c.shape[1], 0, np.zeros((0,) + c.shape[1:], dtype=complex))
+        start, stop = int(first.min()), int(last.max()) + 1
+        c = np.where(_in_span(c, first, last), c, 0.0)[start:stop]
+        return cls._canonical(c.shape[1], int(lo) + start, c)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def identity(n: int) -> MatrixLaurent:
-        return MatrixLaurent(
-            [[LaurentPoly.one() if i == j else LaurentPoly.zero() for j in range(n)] for i in range(n)]
-        )
+        return MatrixLaurent._canonical(n, 0, np.eye(n, dtype=complex)[None])
 
     @staticmethod
     def from_constant(mat: np.ndarray) -> MatrixLaurent:
         mat = np.asarray(mat, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("constant matrix must be square")
-        return MatrixLaurent([[LaurentPoly.constant(mat[i, j]) for j in range(mat.shape[1])] for i in range(mat.shape[0])])
+        return MatrixLaurent.from_tensor(0, mat[None])
 
     @staticmethod
     def diag(polys: Sequence[LaurentPoly]) -> MatrixLaurent:
@@ -270,101 +361,134 @@ class MatrixLaurent:
 
     # -- access ------------------------------------------------------------
 
+    @property
+    def entries(self) -> tuple[tuple[LaurentPoly, ...], ...]:
+        """The matrix as a grid of trimmed LaurentPoly, built once."""
+        if self._entries is None:
+            c = self.tensor
+            rows = tuple(
+                tuple(LaurentPoly(self.lo, c[:, i, j].tolist()) for j in range(self.n))
+                for i in range(self.n)
+            )
+            object.__setattr__(self, "_entries", rows)
+        return self._entries
+
     def __getitem__(self, ij: tuple[int, int]) -> LaurentPoly:
         i, j = ij
         return self.entries[i][j]
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MatrixLaurent):
+            return NotImplemented
+        return self.n == other.n and self.lo == other.lo and np.array_equal(self.tensor, other.tensor)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.lo, self.tensor.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"MatrixLaurent(n={self.n}, lo={self.lo}, lags={len(self.tensor)})"
+
+    def __reduce__(self):
+        return (MatrixLaurent.from_tensor, (self.lo, np.array(self.tensor)))
+
     def support(self) -> list[int]:
         """Sorted union of the entry exponent sets."""
-        exps: set[int] = set()
-        for row in self.entries:
-            for p in row:
-                exps.update(p.support())
-        return sorted(exps)
+        covered = _in_span(self.tensor, *_entry_spans(self.tensor)).any(axis=(1, 2))
+        return (self.lo + np.flatnonzero(covered)).tolist()
 
     def laurent_coefficient(self, c: int) -> np.ndarray:
         """The constant matrix A_c in A(z) = sum_c A_c z^c (zero off-support)."""
-        return np.array([[p.coeff(c) for p in row] for row in self.entries], dtype=complex)
+        i = c - self.lo
+        if 0 <= i < len(self.tensor):
+            return self.tensor[i].copy()
+        return np.zeros((self.n, self.n), dtype=complex)
 
     def coefficients(self) -> dict[int, np.ndarray]:
-        return {c: self.laurent_coefficient(c) for c in self.support()}
+        return {c: self.tensor[c - self.lo].copy() for c in self.support()}
 
     # -- algebra -----------------------------------------------------------
 
-    def __matmul__(self, other: MatrixLaurent) -> MatrixLaurent:
+    def _check_size(self, other: MatrixLaurent) -> None:
         if self.n != other.n:
             raise ValueError(f"size mismatch: {self.n} vs {other.n}")
-        n = self.n
+
+    def _aligned(self, other: MatrixLaurent) -> tuple[int, np.ndarray, np.ndarray]:
+        """(lo, A, B): both tensors zero-padded onto one common lag range."""
+        self._check_size(other)
+        lo = min(self.lo, other.lo)
+        hi = max(self.lo + len(self.tensor), other.lo + len(other.tensor))
         out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                s = LaurentPoly.zero()
-                for k in range(n):
-                    s = s + self.entries[i][k] * other.entries[k][j]
-                row.append(s)
-            out.append(row)
-        return MatrixLaurent(out)
+        for m in (self, other):
+            c = np.zeros((hi - lo, self.n, self.n), dtype=complex)
+            c[m.lo - lo : m.lo - lo + len(m.tensor)] = m.tensor
+            out.append(c)
+        return lo, out[0], out[1]
+
+    def __matmul__(self, other: MatrixLaurent) -> MatrixLaurent:
+        self._check_size(other)
+        if len(self.tensor) == 0 or len(other.tensor) == 0:
+            return MatrixLaurent.from_tensor(0, np.zeros((0, self.n, self.n)))
+        return MatrixLaurent.from_tensor(self.lo + other.lo, lag_convolve(self.tensor, other.tensor))
 
     def __add__(self, other: MatrixLaurent) -> MatrixLaurent:
-        if self.n != other.n:
-            raise ValueError(f"size mismatch: {self.n} vs {other.n}")
-        return MatrixLaurent(
-            [[self.entries[i][j] + other.entries[i][j] for j in range(self.n)] for i in range(self.n)]
-        )
+        lo, a, b = self._aligned(other)
+        return MatrixLaurent.from_tensor(lo, a + b)
 
     def __sub__(self, other: MatrixLaurent) -> MatrixLaurent:
-        if self.n != other.n:
-            raise ValueError(f"size mismatch: {self.n} vs {other.n}")
-        return MatrixLaurent(
-            [[self.entries[i][j] - other.entries[i][j] for j in range(self.n)] for i in range(self.n)]
-        )
+        lo, a, b = self._aligned(other)
+        return MatrixLaurent.from_tensor(lo, a - b)
 
     def star(self) -> MatrixLaurent:
         """Conjugate transpose with the circle adjoint applied per entry."""
-        return MatrixLaurent(
-            [[self.entries[j][i].star() for j in range(self.n)] for i in range(self.n)]
-        )
+        lo = -(self.lo + len(self.tensor) - 1) if len(self.tensor) else 0
+        return MatrixLaurent._canonical(self.n, lo, lag_adjoint(self.tensor))
 
     def compose_power(self, n: int) -> MatrixLaurent:
-        return MatrixLaurent([[p.compose_power(n) for p in row] for row in self.entries])
+        """Substitute z -> z^n (n >= 2): exponents are multiplied by n."""
+        if n < 2:
+            raise ValueError(f"compose_power requires n >= 2, got {n}")
+        length = len(self.tensor)
+        out = np.zeros(((length - 1) * n + 1 if length else 0, self.n, self.n), dtype=complex)
+        out[::n] = self.tensor
+        return MatrixLaurent._canonical(self.n, self.lo * n, out)
 
     def apply(self, v: np.ndarray) -> list[LaurentPoly]:
         """Matrix times a constant vector, as a vector of Laurent polynomials."""
         v = np.asarray(v, dtype=complex)
         if v.shape != (self.n,):
             raise ValueError("vector length must match matrix size")
-        out = []
-        for i in range(self.n):
-            s = LaurentPoly.zero()
-            for j in range(self.n):
-                s = s + self.entries[i][j] * v[j]
-            out.append(s)
-        return out
+        values = self.tensor @ v
+        return [LaurentPoly(self.lo, values[:, i].tolist()) for i in range(self.n)]
 
     def eval(self, z: complex) -> np.ndarray:
-        return np.array([[p(z) for p in row] for row in self.entries], dtype=complex)
+        z = complex(z)
+        if abs(abs(z) - 1.0) > UNIT_CIRCLE_TOL:
+            raise ValueError(f"evaluation point must lie on the unit circle, |z| = {abs(z)!r}")
+        acc = np.zeros((self.n, self.n), dtype=complex)
+        for c in self.tensor[::-1]:
+            acc = acc * z + c
+        return acc * z**self.lo
 
     def distance(self, other: MatrixLaurent) -> float:
-        if self.n != other.n:
-            raise ValueError(f"size mismatch: {self.n} vs {other.n}")
-        return max(
-            self.entries[i][j].distance(other.entries[i][j])
-            for i in range(self.n)
-            for j in range(self.n)
-        )
+        """Max coefficient modulus of self - other, each entry end-trimmed."""
+        _, a, b = self._aligned(other)
+        return _trimmed_max(a - b)
 
     def max_abs(self) -> float:
-        return max(p.max_abs() for row in self.entries for p in row)
+        return _trimmed_max(self.tensor)
 
     def is_paraunitary(self, tol: float = 1e-10) -> ParaunitaryResult:
         """Certify star(M) @ M = I at the coefficient level.
 
         Returns the verdict together with the max residual coefficient
-        modulus.  Sampling alone can miss high-degree residuals, hence the
-        exact check.
+        modulus, each entry of the residual end-trimmed at TRIM_TOL.
+        Sampling alone can miss high-degree residuals, hence the exact check.
         """
-        residual = (self.star() @ self - MatrixLaurent.identity(self.n)).max_abs()
+        if len(self.tensor) == 0:
+            return ParaunitaryResult(1.0 <= tol, 1.0)
+        gram = lag_convolve(lag_adjoint(self.tensor), self.tensor)
+        gram[len(self.tensor) - 1] -= np.eye(self.n)
+        residual = _trimmed_max(gram)
         return ParaunitaryResult(residual <= tol, residual)
 
 

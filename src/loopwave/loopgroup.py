@@ -107,19 +107,34 @@ def base_system(n: int) -> FilterSystem:
     return FilterSystem(n, [LaurentPoly.monomial(k, s) for k in range(n)], verified=True)
 
 
+def decimate(polys: Sequence[LaurentPoly], n: int) -> tuple[int, np.ndarray]:
+    """Lag-n decimation of a list of polynomials: (lo, D) with D[l, i, k]
+    the coefficient of z^((lo + l) n + k) in polys[i].
+
+    This is the coefficient-level fiber sum; D has shape (L, len(polys), n)
+    and no lags when every polynomial is zero.
+    """
+    live = [p for p in polys if not p.is_zero]
+    lo = min((p.valuation for p in live), default=0) // n
+    length = max((p.degree // n - lo + 1 for p in live), default=0)
+    flat = np.zeros((len(polys), length * n), dtype=complex)
+    for i, p in enumerate(polys):
+        flat[i, p.offset - lo * n : p.offset - lo * n + len(p.coeffs)] = p.coeffs
+    return lo, flat.reshape(len(polys), length, n).transpose(1, 0, 2)
+
+
+def interleave(mat: MatrixLaurent) -> list[LaurentPoly]:
+    """Inverse of the polyphase map: m_i(z) = N^{-1/2} sum_j A_{i,j}(z^N) z^j."""
+    n = mat.n
+    flat = mat.tensor.transpose(1, 0, 2).reshape(n, -1) * (1.0 / math.sqrt(n))
+    return [LaurentPoly(mat.lo * n, row.tolist()) for row in flat]
+
+
 def loop_to_filters(loop: Loop) -> FilterSystem:
     """Filters of a certified loop: m_i(z) = N^{-1/2} sum_j A_{i,j}(z^N) z^j."""
     if not loop.certified:
         raise ValueError("loop must be certified paraunitary")
-    n = loop.n
-    s = 1.0 / math.sqrt(n)
-    filters = []
-    for i in range(n):
-        m = LaurentPoly.zero()
-        for j in range(n):
-            m = m + loop.mat[i, j].compose_power(n) * LaurentPoly.monomial(j, s)
-        filters.append(m)
-    return FilterSystem(n, filters, verified=True)
+    return FilterSystem(loop.n, interleave(loop.mat), verified=True)
 
 
 def polyphase_matrix(system: FilterSystem) -> MatrixLaurent:
@@ -128,23 +143,8 @@ def polyphase_matrix(system: FilterSystem) -> MatrixLaurent:
     Its paraunitarity is exactly the QMF property of the input; callers
     that need the residual run the certificate themselves, once.
     """
-    n = system.n
-    s = math.sqrt(n)
-    rows = []
-    for j in range(n):
-        m = system.filters[j]
-        row = []
-        for k in range(n):
-            if m.is_zero:
-                row.append(LaurentPoly.zero())
-                continue
-            # exponents t = l*n + k within the support of m_j
-            lo = math.ceil((m.valuation - k) / n)
-            hi = math.floor((m.degree - k) / n)
-            coeffs = [s * m.coeff(l * n + k) for l in range(lo, hi + 1)]
-            row.append(LaurentPoly(lo, coeffs))
-        rows.append(row)
-    return MatrixLaurent(rows)
+    lo, d = decimate(system.filters, system.n)
+    return MatrixLaurent.from_tensor(lo, math.sqrt(system.n) * d)
 
 
 def filters_to_loop(system: FilterSystem, tol: float = CERTIFY_TOL) -> Loop:
@@ -153,20 +153,18 @@ def filters_to_loop(system: FilterSystem, tol: float = CERTIFY_TOL) -> Loop:
 
 
 def act(loop: Loop, system: FilterSystem) -> FilterSystem:
-    """Apply a loop to a filter system: n_i(z) = sum_j A_{i,j}(z^N) m_j(z)."""
+    """Apply a loop to a filter system: n_i(z) = sum_j A_{i,j}(z^N) m_j(z).
+
+    On polyphase matrices the action is a product, P(act(A, m)) = A P(m),
+    so act(A, m) is the interleave of A @ P(m).
+    """
     if not loop.certified:
         raise ValueError("loop must be certified paraunitary")
     if loop.n != system.n:
         raise ValueError(f"size mismatch: loop {loop.n} vs system {system.n}")
-    n = system.n
-    out = []
-    for i in range(n):
-        acc = LaurentPoly.zero()
-        for j in range(n):
-            acc = acc + loop.mat[i, j].compose_power(n) * system.filters[j]
-        out.append(acc)
+    out = interleave(loop.mat @ polyphase_matrix(system))
     # The defining orthogonality computation shows the action preserves QMF.
-    return FilterSystem(n, out, verified=system.verified)
+    return FilterSystem(system.n, out, verified=system.verified)
 
 
 def transition(target: FilterSystem, source: FilterSystem, tol: float = CERTIFY_TOL) -> Loop:
@@ -174,10 +172,10 @@ def transition(target: FilterSystem, source: FilterSystem, tol: float = CERTIFY_
 
         A_{i,j}(x) = sum_{y : y^N = x} target_i(y) * conj(source_j(y)),
 
-    computed exactly by reading off the multiples-of-N coefficients of
-    star(source_j) * target_i.  The fiber sum expands the target filters in
-    the orthonormal module basis the source filters provide, so this is the
-    unique loop with act(transition(n, m), m) = n.  (Conjugating the target
+    which is P(target) @ star(P(source)) for the polyphase matrices P: the
+    fiber sum of y^(k - l) vanishes unless k = l.  P(source) is paraunitary
+    because the source is verified, so act(transition(n, m), m) = n, and the
+    loop is the unique one with that property.  (Conjugating the target
     instead of the source would produce the entrywise circle adjoint of
     this matrix, i.e. the star of its transpose.)
     """
@@ -185,21 +183,7 @@ def transition(target: FilterSystem, source: FilterSystem, tol: float = CERTIFY_
         raise ValueError("transition requires verified filter systems")
     if target.n != source.n:
         raise ValueError("scale mismatch")
-    n = target.n
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            q = source.filters[j].star() * target.filters[i]
-            if q.is_zero:
-                row.append(LaurentPoly.zero())
-                continue
-            lo = math.ceil(q.valuation / n)
-            hi = math.floor(q.degree / n)
-            coeffs = [n * q.coeff(l * n) for l in range(lo, hi + 1)]
-            row.append(LaurentPoly(lo, coeffs))
-        rows.append(row)
-    return certify_loop(MatrixLaurent(rows), tol)
+    return certify_loop(polyphase_matrix(target) @ polyphase_matrix(source).star(), tol)
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -221,19 +205,14 @@ def random_paraunitary(n: int, degree: int, seed: int) -> Loop:
     if degree < 0:
         raise ValueError("degree must be >= 0")
     rng = np.random.default_rng(seed)
-    mat = MatrixLaurent.from_constant(random_unitary(n, rng))
+    eye = np.eye(n)
+    c = random_unitary(n, rng)[None]
     for _ in range(degree):
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         v = v / np.linalg.norm(v)
         proj = np.outer(v, v.conj())
-        factor = MatrixLaurent(
-            [
-                [
-                    LaurentPoly(0, ((1.0 if i == j else 0.0) - proj[i, j], proj[i, j]))
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-        )
-        mat = factor @ MatrixLaurent.from_constant(random_unitary(n, rng)) @ mat
-    return certify_loop(mat)
+        turned = random_unitary(n, rng) @ c
+        c = np.zeros((len(turned) + 1, n, n), dtype=complex)
+        c[:-1] = (eye - proj) @ turned
+        c[1:] += proj @ turned
+    return certify_loop(MatrixLaurent.from_tensor(0, c))

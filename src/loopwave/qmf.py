@@ -13,13 +13,13 @@ unitary completion for general N.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .laurent import LaurentPoly, unit_grid
-from .loopgroup import FilterSystem, polyphase_matrix
+from .laurent import LaurentPoly, lag_adjoint, lag_convolve, unit_grid
+from .loopgroup import FilterSystem, decimate, polyphase_matrix
 
 #: Default coefficient-level tolerance for the exact QMF certificate.
 EXACT_TOL = 1e-10
@@ -56,20 +56,18 @@ def verify_scalar_qmf(m0: LaurentPoly, n: int) -> float:
     The condition sum over the fiber of |m_0|^2 = 1 is equivalent to the
     autocorrelations at lags l*n satisfying sum_k c_k conj(c_{k-l*n}) =
     delta_{l,0} / n; the returned residual is the max deviation over all
-    lags, exactly zero iff the condition holds.
+    lags, exactly zero iff the condition holds.  Those autocorrelations are
+    the coefficients of p(z) star(p)(z) for the decimated row
+    p_k(z) = sum_l c_{ln+k} z^l, the (0, 0) entry of P P* up to the factor n.
     """
     if n < 2:
         raise ValueError(f"scale must be >= 2, got {n}")
-    q = m0.star() * m0
-    if q.is_zero:
+    _, row = decimate([m0], n)
+    if len(row) == 0:
         return 1.0 / n
-    lo = math.floor(q.valuation / n)
-    hi = math.ceil(q.degree / n)
-    res = 0.0
-    for l in range(lo, hi + 1):
-        target = 1.0 / n if l == 0 else 0.0
-        res = max(res, abs(q.coeff(l * n) - target))
-    return res
+    gram = lag_convolve(row, lag_adjoint(row))
+    gram[len(row) - 1] -= 1.0 / n
+    return float(np.max(np.abs(gram)))
 
 
 def low_pass_check(m0: LaurentPoly) -> bool:
@@ -77,11 +75,28 @@ def low_pass_check(m0: LaurentPoly) -> bool:
     return abs(m0(1.0) - 1.0) <= LOW_PASS_TOL
 
 
-def fiber_representatives(x: complex, n: int) -> np.ndarray:
-    """The n preimages of x under z -> z^n: principal root times n-th roots of unity."""
-    x = complex(x)
-    principal = np.exp(1j * np.angle(x) / n) * abs(x) ** (1.0 / n)
-    return principal * np.exp(2j * np.pi * np.arange(n) / n)
+def fiber_representatives(x: complex | np.ndarray, n: int) -> np.ndarray:
+    """The n preimages of x under z -> z^n: principal root times n-th roots of unity.
+
+    For an array of base points the result has one more axis, of length n.
+    """
+    x = np.asarray(x, dtype=complex)
+    principal = np.exp(1j * np.angle(x) / n) * np.abs(x) ** (1.0 / n)
+    return principal[..., None] * np.exp(2j * np.pi * np.arange(n) / n)
+
+
+def _circle_values(polys: Sequence[LaurentPoly], points: np.ndarray) -> np.ndarray:
+    """values[i, t] = polys[i](points[t]), by one Horner pass over all of them."""
+    lo, d = decimate(polys, 1)
+    acc = np.zeros((len(polys), len(points)), dtype=complex)
+    for c in d[::-1, :, 0]:
+        acc = acc * points + c[:, None]
+    return acc * points**lo
+
+
+def _unitarity_defect(m: np.ndarray) -> float:
+    """Worst entry of M M^H - I over a stack (G, n, n) of matrices."""
+    return float(np.max(np.abs(m @ m.conj().transpose(0, 2, 1) - np.eye(m.shape[1]))))
 
 
 def verify_qmf(system: FilterSystem, tol: float = EXACT_TOL, grid_size: int = DEFAULT_GRID) -> QmfReport:
@@ -90,18 +105,21 @@ def verify_qmf(system: FilterSystem, tol: float = EXACT_TOL, grid_size: int = DE
     The exact check is paraunitarity of the polyphase loop; the grid check
     evaluates the fiber matrix (m_j(rho^k z))_{j,k}, rho = exp(2 pi i / N),
     at grid_size circle points and measures its worst unitarity defect.
+    Because grid_size is a multiple of N, the fiber point rho^k z_t is the
+    grid point z_(t + k grid_size / N), so each filter is evaluated once on
+    the grid and the fiber matrices are read off those values.  The base
+    points z_t and z_(t + grid_size / N) have the same fiber, in rotated
+    column order, so the grid_size / N fiber matrices at t < grid_size / N
+    hold every grid value and have the same M M^H as the rest.
     """
     n = system.n
     if grid_size <= 0 or grid_size % n != 0:
         raise ValueError(f"grid_size must be a positive multiple of {n}")
     _, unitary_residual = polyphase_matrix(system).is_paraunitary(tol)
 
-    rho = np.exp(2j * np.pi * np.arange(n) / n)
-    grid_residual = 0.0
-    eye = np.eye(n)
-    for z in unit_grid(grid_size):
-        m = np.array([[system.filters[j](rho[k] * z) for k in range(n)] for j in range(n)])
-        grid_residual = max(grid_residual, float(np.max(np.abs(m @ m.conj().T - eye))))
+    values = _circle_values(system.filters, unit_grid(grid_size))
+    # values[j, k * grid_size / N + t] = m_j(rho^k z_t): fiber matrix t is [:, :, t].
+    grid_residual = _unitarity_defect(values.reshape(n, n, grid_size // n).transpose(2, 0, 1))
 
     return QmfReport(
         n=n,
@@ -164,27 +182,23 @@ def _fir2_completion(m0: LaurentPoly) -> LaurentPoly:
 
 def _grid_completion(m0: LaurentPoly, n: int, grid_size: int) -> SampledSystem:
     base = unit_grid(grid_size)
-    reps = np.array([fiber_representatives(z, n) for z in base])
-    values = np.zeros((n, grid_size, n), dtype=complex)
-    residual = 0.0
-    eye = np.eye(n)
-    for t in range(grid_size):
-        row0 = np.array([m0(w) for w in reps[t]])
-        rows = [row0]
-        skip = int(np.argmax(np.abs(row0)))
-        for j in range(n):
-            if j == skip:
-                continue
-            v = eye[j].astype(complex)
-            for u in rows:
-                v = v - np.vdot(u, v) * u
-            v = v / np.linalg.norm(v)
-            nz = np.flatnonzero(np.abs(v) > 1e-12)[0]
-            v = v * (abs(v[nz]) / v[nz])
-            rows.append(v)
-        m = np.array(rows)
-        residual = max(residual, float(np.max(np.abs(m @ m.conj().T - eye))))
-        values[:, t, :] = m
+    reps = fiber_representatives(base, n)
+    row0 = _circle_values([m0], reps.ravel()).reshape(grid_size, n)
+    # Gram-Schmidt at every base point at once: the canonical basis minus
+    # the vector of largest overlap with row 0, in order.
+    skip = np.argmax(np.abs(row0), axis=1)
+    order = np.array([[j for j in range(n) if j != s] for s in range(n)])
+    rows = [row0]
+    for j in order[skip].T:
+        v = np.eye(n, dtype=complex)[j]
+        for u in rows:
+            v = v - np.sum(u.conj() * v, axis=1, keepdims=True) * u
+        v = v / np.linalg.norm(v, axis=1, keepdims=True)
+        lead = v[np.arange(grid_size), np.argmax(np.abs(v) > 1e-12, axis=1)]
+        rows.append(v * (np.abs(lead) / lead)[:, None])
+    fibers = np.stack(rows, axis=1)  # (grid_size, n rows, n representatives)
+    residual = _unitarity_defect(fibers)
+    values = np.ascontiguousarray(fibers.transpose(1, 0, 2))
     for arr in (base, reps, values):
         arr.setflags(write=False)
     return SampledSystem(
@@ -238,7 +252,7 @@ def verify_measure_invariance(n: int, k_max: int) -> float:
         raise ValueError("k_max must be >= 1")
     grid = 2 * k_max + 1
     base = unit_grid(grid)
-    reps = np.array([fiber_representatives(z, n) for z in base])
+    reps = fiber_representatives(base, n)
     residual = 0.0
     for k in range(-k_max, k_max + 1):
         lhs = np.mean(np.mean(reps**k, axis=1))

@@ -2,9 +2,10 @@
 
 These deliberately avoid the library's exact polyphase code paths: fiber
 sums are evaluated at sampled roots, kernels come from scipy, the corner
-search is exhaustive, and the commutant is read off the band-truncated
-commutation constraints.  They exist to cross-check the production
-implementations, so keep them dumb.
+search is exhaustive, the commutant is read off the band-truncated
+commutation constraints, and loop algebra is entrywise np.convolve on the
+coefficient arrays read out of LaurentPoly entries.  They exist to
+cross-check the production implementations, so keep them dumb.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import itertools
 import numpy as np
 import scipy.linalg
 
-from loopwave import Band, FilterSystem, Loop
+from loopwave import Band, FilterSystem, Loop, MatrixLaurent
 
 
 def fiber_points(z: complex, n: int) -> np.ndarray:
@@ -43,6 +44,124 @@ def sampled_transition(target: FilterSystem, source: FilterSystem, z: complex) -
         for j in range(n):
             out[i, j] = sum(target.filters[i](w) * np.conj(source.filters[j](w)) for w in ws)
     return out
+
+
+def coefficient_grid(mat: MatrixLaurent) -> tuple[int, np.ndarray]:
+    """(lo, C) with C[l, i, j] the coefficient of z^(lo + l) in entry (i, j),
+    read entry by entry from the LaurentPoly grid."""
+    live = [p for row in mat.entries for p in row if not p.is_zero]
+    if not live:
+        return 0, np.zeros((0, mat.n, mat.n), dtype=complex)
+    lo = min(p.offset for p in live)
+    hi = max(p.offset + len(p.coeffs) for p in live)
+    out = np.zeros((hi - lo, mat.n, mat.n), dtype=complex)
+    for i, row in enumerate(mat.entries):
+        for j, p in enumerate(row):
+            for k, c in enumerate(p.coeffs):
+                out[p.offset - lo + k, i, j] = c
+    return lo, out
+
+
+def grid_product(a: tuple[int, np.ndarray], b: tuple[int, np.ndarray]) -> tuple[int, np.ndarray]:
+    """Coefficients of A(z) B(z): sum over k of np.convolve(A_ik, B_kj), entry by entry."""
+    (lo_a, ca), (lo_b, cb) = a, b
+    n = ca.shape[1]
+    out = np.zeros((len(ca) + len(cb) - 1, n, n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                out[:, i, j] += np.convolve(ca[:, i, k], cb[:, k, j])
+    return lo_a + lo_b, out
+
+
+def grid_star(a: tuple[int, np.ndarray]) -> tuple[int, np.ndarray]:
+    """Coefficients of the circle adjoint: entry (i, j) is conj(A_ji(1/z))."""
+    lo, c = a
+    n = c.shape[1]
+    out = np.zeros_like(c)
+    for i in range(n):
+        for j in range(n):
+            out[:, i, j] = np.conj(c[::-1, j, i])
+    return -(lo + len(c) - 1), out
+
+
+def grid_distance(a: tuple[int, np.ndarray], b: tuple[int, np.ndarray]) -> float:
+    """Max coefficient modulus of A - B over a common exponent range."""
+    lo = min(a[0], b[0])
+    hi = max(a[0] + len(a[1]), b[0] + len(b[1]))
+    n = a[1].shape[1]
+    diff = np.zeros((hi - lo, n, n), dtype=complex)
+    diff[a[0] - lo : a[0] - lo + len(a[1])] += a[1]
+    diff[b[0] - lo : b[0] - lo + len(b[1])] -= b[1]
+    return float(np.max(np.abs(diff), initial=0.0))
+
+
+def grid_eval(a: tuple[int, np.ndarray], z: complex) -> np.ndarray:
+    """A(z) = sum_l C[l] z^(lo + l) as a plain power sum."""
+    lo, c = a
+    return sum(c[l] * z ** (lo + l) for l in range(len(c)))
+
+
+def poly_eval(p, z: complex) -> complex:
+    """p(z) as a plain power sum over its stored coefficients."""
+    return sum(c * z ** (p.offset + k) for k, c in enumerate(p.coeffs))
+
+
+def sampled_paraunitary_residual(mat: MatrixLaurent) -> float:
+    """Coefficient residual of star(A) A - I from samples.
+
+    star(A) A has exponents in [-(L-1), L-1] for L lags, so 2L + 1 samples
+    of A(z)^H A(z) at roots of unity determine its coefficients by a DFT.
+    """
+    lo, c = coefficient_grid(mat)
+    lags = len(c)
+    size = 2 * lags + 1
+    zs = np.exp(2j * np.pi * np.arange(size) / size)
+    samples = []
+    for z in zs:
+        a = grid_eval((lo, c), z)
+        samples.append(a.conj().T @ a - np.eye(mat.n))
+    samples = np.array(samples)
+    coeffs = [
+        np.mean([samples[t] * zs[t] ** (-e) for t in range(size)], axis=0)
+        for e in range(-(lags - 1), lags)
+    ]
+    return float(np.max(np.abs(coeffs)))
+
+
+def sampled_grid_residual(system: FilterSystem, grid_size: int) -> float:
+    """Worst |M M^H - I| over the fiber matrices M[j, k] = m_j(rho^k z),
+    built point by point at every grid point z."""
+    n = system.n
+    rho = np.exp(2j * np.pi * np.arange(n) / n)
+    worst = 0.0
+    for z in np.exp(2j * np.pi * np.arange(grid_size) / grid_size):
+        m = np.array([[poly_eval(f, rho[k] * z) for k in range(n)] for f in system.filters])
+        worst = max(worst, float(np.max(np.abs(m @ m.conj().T - np.eye(n)))))
+    return worst
+
+
+def pointwise_completion(m0, n: int, grid_size: int) -> np.ndarray:
+    """Grid completion one base point at a time: row 0 is m_0 on the fiber,
+    then Gram-Schmidt on the canonical basis minus the vector of largest
+    overlap with row 0, each new row phased so its first entry above 1e-12
+    is positive real.  Returns values[i, t, k]."""
+    values = np.zeros((n, grid_size, n), dtype=complex)
+    eye = np.eye(n)
+    for t, x in enumerate(np.exp(2j * np.pi * np.arange(grid_size) / grid_size)):
+        rows = [np.array([poly_eval(m0, w) for w in fiber_points(x, n)])]
+        skip = int(np.argmax(np.abs(rows[0])))
+        for j in range(n):
+            if j == skip:
+                continue
+            v = eye[j].astype(complex)
+            for u in rows:
+                v = v - np.vdot(u, v) * u
+            v = v / np.linalg.norm(v)
+            nz = np.flatnonzero(np.abs(v) > 1e-12)[0]
+            rows.append(v * (abs(v[nz]) / v[nz]))
+        values[:, t, :] = np.array(rows)
+    return values
 
 
 def truncated_commutant_dimension(system: FilterSystem, band: Band, tol: float = 1e-6) -> int:

@@ -205,6 +205,79 @@ class TestCascadeCommand:
         assert complex(mid[2]) == pytest.approx(1j, abs=1e-12)
 
 
+#: A complex scale-3 low-pass system (a seeded degree-1 loop turned so that
+#: m_0(1) = 1); its coefficients are written out so that the CSV below does
+#: not depend on random_paraunitary's rounding.
+N3_FILTERS = {
+    "version": 1,
+    "n": 3,
+    "filters": [
+        {"offset": 0, "coeffs": [[0.22394161170524898, 0.032852435398934975], [0.18426997112837093, 0.171352038395694], [0.0794728194958522, -0.20420447379462903], [0.10939172162808429, -0.03285243539893495], [0.14906336220496244, -0.171352038395694], [0.2538605138374811, 0.20420447379462903]]},
+        {"offset": 0, "coeffs": [[0.2828819834016379, -0.26759604437286927], [-0.023929964054298918, -0.13575043606361856], [-0.22739118677668566, -0.00834711613782016], [0.019661012704850173, 0.0899303510085888], [0.1285144810149517, 0.13034240027376753], [-0.17973632629045522, 0.19142084529195166]]},
+        {"offset": 0, "coeffs": [[0.10423275829075677, 0.3068312811503773], [-0.23384537180403922, -0.3092717794213418], [-0.1411558284676632, 0.08019056752101186], [0.05282983189779, -0.033964643589487455], [0.05277805636256648, -0.11318494198576641], [0.16516055372058905, 0.06939951632520654]]},
+    ],
+}
+
+
+class TestCascadeCsvBytes:
+    """The CSV writer's exact output, pinned from the row-by-row csv.writer
+    version (numpy 2.4, x86-64); the N = 3 file has complex cells."""
+
+    def test_haar_bytes(self, haar_path, tmp_path):
+        out = tmp_path / "haar.csv"
+        assert main(["cascade", haar_path, "--iters", "2", "--out", str(out)]) == 0
+        assert out.read_bytes() == (
+            b"x,phi,psi_1\r\n0.0,1.0,1.0\r\n0.25,1.0,1.0\r\n0.5,1.0,-1.0\r\n"
+            b"0.75,1.0,-1.0\r\n1.0,0.0,0.0\r\n"
+        )
+
+    def test_scale3_bytes(self, tmp_path, capsys):
+        import hashlib
+
+        path = tmp_path / "n3.json"
+        path.write_text(json.dumps(N3_FILTERS))
+        out = tmp_path / "n3.csv"
+        assert main(["cascade", str(path), "--iters", "2", "--out", str(out)]) == 0
+        assert "23 rows, seed=point" in capsys.readouterr().out
+        data = out.read_bytes()
+        assert data.startswith(
+            b"x,phi,psi_1,psi_2\r\n0.0,0.0,0.0,0.0\r\n0.1111111111111111,"
+            b"(0.19008324775571686+0.06548344420392252j),(0.2909136239124987-0.18709635668784988j),"
+        )
+        assert len(data) == 3248
+        assert hashlib.sha256(data).hexdigest() == "e20e75565b3b02668f3d1dab29fb657dfc7534a6af68926ae40cfb598088ea00"
+
+
+class TestInputParsedOnce:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "{f}"],
+            ["classify", "{l}"],
+            ["equiv", "{f}", "{l}"],
+            ["cuntz-check", "{f}", "--band", "4"],
+            ["commutant", "{l}", "--band", "8"],
+            ["convert", "{f}", "--to", "loop", "--out", "{out}"],
+            ["convert", "{l}", "--to", "filters", "--out", "{out}"],
+        ],
+    )
+    def test_each_input_read_once(self, argv, haar_path, tmp_path, monkeypatch, capsys):
+        loop_path = tmp_path / "loop.json"
+        fileio.save_loop_file(loop_path, MatrixLaurent.identity(2))
+        reads = []
+        original = fileio._load_json
+        monkeypatch.setattr(fileio, "_load_json", lambda path: reads.append(path) or original(path))
+        args = [a.format(f=haar_path, l=loop_path, out=tmp_path / "out.json") for a in argv]
+        assert main(args) == 0
+        inputs = [a for a in args[1:] if a.endswith(".json") and "out.json" not in a]
+        assert sorted(map(str, reads)) == sorted(inputs)
+
+    def test_convert_rejects_wrong_kind(self, haar_path, identity_loop_path, tmp_path):
+        out = str(tmp_path / "x.json")
+        assert main(["convert", identity_loop_path, "--to", "loop", "--out", out]) == 2
+        assert main(["convert", haar_path, "--to", "filters", "--out", out]) == 2
+
+
 class TestCuntzCheckCommand:
     def test_haar_band8(self, haar_path, capsys):
         assert main(["cuntz-check", haar_path, "--band", "8", "--json"]) == 0

@@ -88,3 +88,21 @@ def test_ragged_loop_grid_rejected(tmp_path):
     path.write_text(json.dumps({"version": 1, "n": 2, "entries": [[rec, rec], [rec]]}))
     with pytest.raises(FileFormatError):
         load_loop_file(path)
+
+
+def test_load_input_returns_either_kind(tmp_path):
+    from loopwave.fileio import load_input
+
+    fpath = tmp_path / "f.json"
+    save_filter_file(fpath, daubechies4_system())
+    lpath = tmp_path / "l.json"
+    mat = MatrixLaurent.diag([LaurentPoly.monomial(-2, 1j), LaurentPoly.monomial(4)])
+    save_loop_file(lpath, mat)
+    system = load_input(fpath)
+    assert isinstance(system, FilterSystem) and system.distance(daubechies4_system()) == 0.0
+    loaded = load_input(lpath)
+    assert isinstance(loaded, MatrixLaurent) and loaded.distance(mat) == 0.0
+    other = tmp_path / "o.json"
+    other.write_text(json.dumps({"version": 1}))
+    with pytest.raises(FileFormatError):
+        load_input(other)

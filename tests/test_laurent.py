@@ -5,6 +5,15 @@ import pytest
 
 from loopwave.laurent import LaurentPoly, MatrixLaurent, unit_grid
 
+from helpers import (
+    coefficient_grid,
+    grid_distance,
+    grid_eval,
+    grid_product,
+    grid_star,
+    sampled_paraunitary_residual,
+)
+
 
 def random_poly(rng, lo=-4, hi=4):
     offset = int(rng.integers(lo, hi))
@@ -201,3 +210,152 @@ class TestCoefficients:
             rebuilt = term if rebuilt is None else rebuilt + term
         assert rebuilt is not None
         assert rebuilt.distance(mat) <= 1e-14
+
+
+def seeded_matrix(rng, n):
+    return MatrixLaurent([[random_poly(rng) for _ in range(n)] for _ in range(n)])
+
+
+class TestTensorAlgebra:
+    """@, star and is_paraunitary against entrywise numpy oracles."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_matmul_is_entrywise_convolution(self, n):
+        from loopwave import random_paraunitary
+
+        rng = np.random.default_rng(100 + n)
+        pairs = [
+            (seeded_matrix(rng, n), seeded_matrix(rng, n)),
+            (random_paraunitary(n, 3, n).mat, random_paraunitary(n, 1, n + 1).mat),
+            (random_paraunitary(n, 0, n).mat, seeded_matrix(rng, n)),
+        ]
+        for a, b in pairs:
+            expected = grid_product(coefficient_grid(a), coefficient_grid(b))
+            assert grid_distance(coefficient_grid(a @ b), expected) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_star_is_entrywise_adjoint(self, n):
+        from loopwave import random_paraunitary
+
+        rng = np.random.default_rng(200 + n)
+        for a in (seeded_matrix(rng, n), random_paraunitary(n, 2, n).mat):
+            assert grid_distance(coefficient_grid(a.star()), grid_star(coefficient_grid(a))) == 0.0
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_is_paraunitary_matches_sampled_residual(self, n):
+        from loopwave import random_paraunitary
+
+        rng = np.random.default_rng(300 + n)
+        loop = random_paraunitary(n, 3, n).mat
+        ok, residual = loop.is_paraunitary()
+        assert ok and residual <= 1e-14
+        assert sampled_paraunitary_residual(loop) <= 1e-13
+        for mat in (seeded_matrix(rng, n), MatrixLaurent.from_constant(1.001 * np.eye(n)) @ loop):
+            ok, residual = mat.is_paraunitary()
+            assert not ok
+            assert residual == pytest.approx(sampled_paraunitary_residual(mat), rel=1e-9)
+
+    def test_loops_at_unit_scale_certify_exactly(self):
+        from loopwave import base_system
+        from loopwave.loopgroup import polyphase_matrix
+        from loopwave.qmf import verify_qmf
+
+        for n in (2, 3, 4, 8):
+            assert polyphase_matrix(base_system(n)).is_paraunitary().residual == 0.0
+            assert verify_qmf(base_system(n), grid_size=8 * n).unitary_residual == 0.0
+
+    def test_perturbation_above_trim_tol_is_reported(self):
+        from loopwave import random_paraunitary
+
+        loop = random_paraunitary(3, 2, seed=5).mat
+        for eps in (1e-12, 1e-9):
+            bumped = loop.tensor.copy()
+            bumped[1, 0, 2] += eps
+            mat = MatrixLaurent.from_tensor(loop.lo, bumped)
+            residual = mat.is_paraunitary().residual
+            assert eps / 10 < residual < 10 * eps
+            assert residual == pytest.approx(sampled_paraunitary_residual(mat), rel=1e-2)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_rounding_noise_below_trim_tol_reads_zero(self, n):
+        # Per-entry trimming at TRIM_TOL: star(A) A - I of a seeded loop holds
+        # rounding noise, and an entry whose coefficients all lie at or below
+        # 1e-14 counts as exactly zero.
+        from loopwave import random_paraunitary
+
+        loop = random_paraunitary(n, 3, seed=n).mat
+        grid = coefficient_grid(loop)
+        lo, gram = grid_product(grid_star(grid), grid)
+        gram[-lo] -= np.eye(n)
+        assert 0.0 < np.max(np.abs(gram)) <= 1e-14
+        assert loop.is_paraunitary().residual == 0.0
+
+
+class TestTensorStorage:
+    def test_entries_view_matches_trimmed_polys(self):
+        rng = np.random.default_rng(9)
+        grid = [[random_poly(rng) for _ in range(3)] for _ in range(3)]
+        mat = MatrixLaurent(grid)
+        rebuilt = MatrixLaurent.from_tensor(mat.lo, mat.tensor)
+        assert rebuilt == mat
+        assert rebuilt.entries == tuple(tuple(row) for row in grid)
+
+    def test_from_tensor_trims_each_entry_like_laurentpoly(self):
+        c = np.zeros((4, 2, 2), dtype=complex)
+        c[:, 0, 0] = (5e-15, 1.0, 3e-15, 2.0)
+        c[:, 1, 1] = (0.0, 0.0, 1.0, 4e-15)
+        c[:, 0, 1] = (2e-15, 0.0, 0.0, 0.0)
+        mat = MatrixLaurent.from_tensor(-1, c)
+        assert mat[0, 0] == LaurentPoly(-1, c[:, 0, 0])
+        assert mat[1, 1] == LaurentPoly(-1, c[:, 1, 1])
+        assert mat[0, 1].is_zero
+        assert (mat.lo, len(mat.tensor)) == (0, 3)
+        assert mat.tensor[1, 0, 0] == 3e-15  # interior coefficients stay
+        assert mat.tensor[2, 1, 1] == 0.0  # end coefficients go, entry by entry
+        assert mat == MatrixLaurent([list(row) for row in mat.entries])
+
+    def test_support_keeps_gaps_between_entries(self):
+        d = MatrixLaurent.diag([LaurentPoly.monomial(2), LaurentPoly.monomial(5)])
+        assert d.support() == [2, 5]
+        assert sorted(d.coefficients()) == [2, 5]
+
+    def test_zero_matrix(self):
+        zero = MatrixLaurent([[LaurentPoly.zero()] * 2] * 2)
+        assert len(zero.tensor) == 0 and zero.support() == []
+        assert (zero @ MatrixLaurent.identity(2)).max_abs() == 0.0
+        assert zero.star() == zero
+        assert zero.is_paraunitary() == (False, 1.0)
+
+    def test_compose_power_is_strided(self):
+        rng = np.random.default_rng(10)
+        mat = seeded_matrix(rng, 2)
+        composed = mat.compose_power(3)
+        for i in range(2):
+            for j in range(2):
+                assert composed[i, j] == mat[i, j].compose_power(3)
+
+    def test_apply_and_eval(self):
+        rng = np.random.default_rng(11)
+        mat = seeded_matrix(rng, 3)
+        v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        z = np.exp(0.7j)
+        values = [p(z) for p in mat.apply(v)]
+        assert np.max(np.abs(np.array(values) - grid_eval(coefficient_grid(mat), z) @ v)) <= 1e-12
+        assert np.max(np.abs(mat.eval(z) - grid_eval(coefficient_grid(mat), z))) <= 1e-12
+        with pytest.raises(ValueError):
+            mat.eval(0.5)
+
+    def test_immutable_hashable_picklable(self):
+        import pickle
+
+        mat = MatrixLaurent.diag([LaurentPoly.monomial(-1, 2j), LaurentPoly.one()])
+        with pytest.raises(AttributeError):
+            mat.lo = 3
+        with pytest.raises(ValueError):
+            mat.tensor[0, 0, 0] = 1.0
+        back = pickle.loads(pickle.dumps(mat))
+        assert back == mat and hash(back) == hash(mat)
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError):
+            MatrixLaurent.from_constant(np.array([[1.0, np.nan], [0.0, 1.0]]))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import sampled_loop_from_filters, sampled_transition
+from helpers import coefficient_grid, grid_eval, poly_eval, sampled_loop_from_filters, sampled_transition
 from loopwave import (
     FilterSystem,
     LaurentPoly,
@@ -205,3 +205,36 @@ class TestGuards:
     def test_filter_count_enforced(self):
         with pytest.raises(ValueError):
             FilterSystem(3, [LaurentPoly.one()] * 2)
+
+
+class TestPolyphaseProducts:
+    """act and transition as polyphase products, against the literal fiber sums."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_transition_matches_sampled_fiber_sum(self, n):
+        target = loop_to_filters(random_paraunitary(n, 2, seed=n))
+        source = loop_to_filters(random_paraunitary(n, 1, seed=n + 50))
+        t = coefficient_grid(transition(target, source).mat)
+        for z in np.exp(2j * np.pi * np.arange(9) / 9 + 0.1j):
+            assert np.max(np.abs(grid_eval(t, z) - sampled_transition(target, source, z))) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_act_is_undone_by_sampled_transition(self, n):
+        loop = random_paraunitary(n, 2, seed=n + 7)
+        source = loop_to_filters(random_paraunitary(n, 1, seed=n + 8))
+        moved = act(loop, source)
+        a = coefficient_grid(loop.mat)
+        for z in np.exp(2j * np.pi * np.arange(9) / 9 + 0.2j):
+            assert np.max(np.abs(sampled_transition(moved, source, z) - grid_eval(a, z))) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_act_matches_its_definition(self, n):
+        # n_i(z) = sum_j A_ij(z^N) m_j(z), evaluated point by point
+        loop = random_paraunitary(n, 1, seed=n + 9)
+        source = loop_to_filters(random_paraunitary(n, 2, seed=n + 10))
+        moved = act(loop, source)
+        a = coefficient_grid(loop.mat)
+        for z in np.exp(2j * np.pi * np.arange(5) / 5 + 0.3j):
+            expected = grid_eval(a, z**n) @ np.array([poly_eval(f, z) for f in source.filters])
+            got = np.array([poly_eval(f, z) for f in moved.filters])
+            assert np.max(np.abs(got - expected)) <= 1e-12

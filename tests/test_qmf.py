@@ -21,6 +21,8 @@ from loopwave import (
 )
 from loopwave.qmf import fiber_representatives
 
+from helpers import pointwise_completion, sampled_grid_residual
+
 ROOT2 = math.sqrt(2.0)
 
 
@@ -187,3 +189,46 @@ class TestSections:
             for z in np.exp(2j * np.pi * np.arange(16) / 16):
                 reps = fiber_representatives(z, n)
                 assert np.max(np.abs(reps**n - z)) <= 1e-12
+
+
+class TestGridOracles:
+    """The one-pass grid evaluation against per-point numpy oracles."""
+
+    @pytest.mark.parametrize("n,degree", [(2, 3), (3, 2), (4, 4), (8, 1)])
+    def test_grid_residual_matches_pointwise_fibers(self, n, degree):
+        system = loop_to_filters(random_paraunitary(n, degree, seed=n + degree))
+        grid = 8 * n
+        report = verify_qmf(system, grid_size=grid)
+        assert abs(report.grid_residual - sampled_grid_residual(system, grid)) <= 1e-14
+        # a system that is not QMF: the grid check sees the same defect
+        bent = FilterSystem(n, [system.filters[0] * 1.01] + list(system.filters[1:]))
+        report = verify_qmf(bent, grid_size=grid)
+        assert report.grid_residual == pytest.approx(sampled_grid_residual(bent, grid), rel=1e-12)
+        assert report.grid_residual > 1e-3
+
+    @pytest.mark.parametrize("n,grid", [(2, 64), (3, 99), (4, 32)])
+    def test_grid_completion_matches_pointwise_oracle(self, n, grid):
+        m0 = loop_to_filters(random_paraunitary(n, 2, seed=5)).filters[0]
+        sampled = complete(m0, n, mode="grid", grid_size=grid)
+        assert isinstance(sampled, SampledSystem)
+        assert np.max(np.abs(sampled.values - pointwise_completion(m0, n, grid))) <= 1e-14
+        reps = np.array([fiber_representatives(z, n) for z in sampled.base_points])
+        assert np.max(np.abs(sampled.representatives - reps)) <= 1e-15
+
+    def test_fiber_representatives_vectorized(self):
+        base = np.exp(2j * np.pi * np.arange(12) / 12)
+        stacked = fiber_representatives(base, 3)
+        assert stacked.shape == (12, 3)
+        for t, z in enumerate(base):
+            assert np.max(np.abs(stacked[t] - fiber_representatives(z, 3))) <= 1e-15
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_scalar_residual_is_lag_n_autocorrelation(self, n):
+        rng = np.random.default_rng(n)
+        m0 = LaurentPoly(-2, rng.standard_normal(3 * n + 1) + 1j * rng.standard_normal(3 * n + 1))
+        c = np.array(m0.coeffs)
+        auto = np.correlate(c, c, mode="full")  # auto[len(c) - 1 + s] = sum_t c_(t+s) conj(c_t)
+        lags = auto[len(c) - 1 :: n].copy()
+        lags[0] -= 1.0 / n
+        expected = max(np.max(np.abs(lags)), np.max(np.abs(auto[len(c) - 1 :: -n][1:])))
+        assert verify_scalar_qmf(m0, n) == pytest.approx(expected, rel=1e-12)
