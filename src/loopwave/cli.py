@@ -83,7 +83,9 @@ def _cells(values: np.ndarray) -> list[str]:
 def cmd_verify(args: argparse.Namespace) -> int:
     loaded = fileio.load_filter_file(args.path)
     assert isinstance(loaded, FilterSystem)
-    report = qmf.verify_qmf(loaded, tol=args.tol, grid_size=args.grid)
+    # Resolved here for the same reason as in qmf.certify.
+    grid = qmf.default_grid(loaded.n) if args.grid is None else args.grid
+    report = qmf.verify_qmf(loaded, tol=args.tol, grid_size=grid)
     _emit(
         {
             "n": report.n,
@@ -159,9 +161,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_cascade(args: argparse.Namespace) -> int:
     loaded = fileio.load_filter_file(args.path)
     assert isinstance(loaded, FilterSystem)
-    # The grid check needs a multiple of N; round the default grid up to one.
-    grid = -(-qmf.DEFAULT_GRID // loaded.n) * loaded.n
-    report = qmf.verify_qmf(loaded, tol=args.tol, grid_size=grid)
+    report = qmf.verify_qmf(loaded, tol=args.tol, grid_size=qmf.default_grid(loaded.n))
     if not report.passed:
         raise _MathFailure(
             f"{args.path}: filter system fails QMF verification "
@@ -255,8 +255,8 @@ def cmd_complete(args: argparse.Namespace) -> int:
 
 def cmd_commutant(args: argparse.Namespace) -> int:
     system = _load_system(args.path, args.tol)
-    rep = cuntz_rep.build_rep(system, cuntz_rep.Band(-args.band, args.band))
-    report = cuntz_rep.commutant_diagnostic(rep, tol=args.commutant_tol)
+    band = cuntz_rep.attractor_band(system) if args.band is None else cuntz_rep.Band(-args.band, args.band)
+    report = cuntz_rep.commutant_diagnostic(cuntz_rep.build_rep(system, band), tol=args.commutant_tol)
     svals = np.array2string(report.singular_values[:16], precision=3, separator=", ")
     _emit(
         {
@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="QMF verification report for a filter file")
     p.add_argument("path")
     p.add_argument("--tol", type=float, default=tol)
-    p.add_argument("--grid", type=int, default=qmf.DEFAULT_GRID)
+    p.add_argument("--grid", type=int, default=None, help="default: the smallest multiple of N at or above 256")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
@@ -323,14 +323,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("complete", help="complete a scalar filter to a full system")
     p.add_argument("path")
     p.add_argument("--mode", choices=["fir2", "grid"], default="fir2")
-    p.add_argument("--grid", type=int, default=qmf.DEFAULT_GRID)
+    p.add_argument("--grid", type=int, default=None, help="default: the smallest multiple of N at or above 256")
     p.add_argument("--out", required=True)
     p.add_argument("--tol", type=float, default=tol)
     p.set_defaults(func=cmd_complete)
 
     p = sub.add_parser("commutant", help="commutant dimension, exact on the attractor band")
     p.add_argument("path")
-    p.add_argument("--band", type=int, required=True)
+    p.add_argument("--band", type=int, default=None, help="input band [-B, B]; default: the attractor band K")
     p.add_argument("--tol", type=float, default=tol)
     p.add_argument("--commutant-tol", type=float, default=1e-6, dest="commutant_tol")
     p.add_argument("--json", action="store_true")

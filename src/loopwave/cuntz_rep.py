@@ -7,6 +7,10 @@ relations S_i* S_j = delta_ij are exact on the whole input band (the output
 band is grown to lose nothing forward), while the completeness relation
 sum_i S_i S_i* = 1 is exact on a reported interior sub-band whose preimage
 indices all lie inside the input band.
+
+The models hold the dense matrices, but column k of S_i is nonzero only on
+the L indices N k + t, t in the filter support, so every product is formed
+from those column windows (``_windows``) and the band structure they give.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .laurent import LaurentPoly, MatrixLaurent
-from .loopgroup import FilterSystem, transition
+from .laurent import MatrixLaurent
+from .loopgroup import FilterSystem, polyphase_matrix
 
 
 @dataclass(frozen=True)
@@ -64,6 +68,21 @@ def _filter_support(system: FilterSystem) -> tuple[int, int]:
     return min(vals), max(degs)
 
 
+def attractor_band(system: FilterSystem) -> Band:
+    """The attractor band K = [ceil(-t_max/(N-1)), floor(-t_min/(N-1))] of the
+    combined filter support [t_min, t_max] (see commutant_diagnostic)."""
+    n = system.n
+    t_min, t_max = _filter_support(system)
+    return Band(math.ceil(-t_max / (n - 1)), math.floor(-t_min / (n - 1)))
+
+
+def _window_rows(n: int, in_band: Band, t_min: int, length: int, out_k_min: int) -> np.ndarray:
+    """rows[a, k]: the output-band position of index N k + t_min + a, for
+    input position k and a in [0, length)."""
+    first = n * (in_band.k_min + np.arange(in_band.size)) + t_min - out_k_min
+    return first[None, :] + np.arange(length)[:, None]
+
+
 def build_rep(system: FilterSystem, in_band: Band) -> TruncatedRep:
     """Populate the weighted-shift matrices over a minimal lossless output band."""
     if not system.verified:
@@ -71,18 +90,47 @@ def build_rep(system: FilterSystem, in_band: Band) -> TruncatedRep:
     n = system.n
     t_min, t_max = _filter_support(system)
     out_band = Band(n * in_band.k_min + t_min, n * in_band.k_max + t_max)
-    root = math.sqrt(n)
-    mats = []
-    for i in range(n):
-        m = np.zeros((out_band.size, in_band.size), dtype=complex)
-        f = system.filters[i]
-        for kk, k in enumerate(in_band.indices()):
-            for t in f.support():
-                p = n * k + t
-                m[p - out_band.k_min, kk] = root * f.coeff(t)
-        m.setflags(write=False)
-        mats.append(m)
-    return TruncatedRep(system=system, in_band=in_band, out_band=out_band, S=tuple(mats))
+    coeffs = np.zeros((n, t_max - t_min + 1), dtype=complex)
+    for i, f in enumerate(system.filters):
+        coeffs[i, f.offset - t_min : f.offset - t_min + len(f.coeffs)] = f.coeffs
+    rows = _window_rows(n, in_band, t_min, coeffs.shape[1], out_band.k_min)
+    s = np.zeros((n, out_band.size, in_band.size), dtype=complex)
+    s[:, rows, np.arange(in_band.size)] = math.sqrt(n) * coeffs[:, :, None]
+    s.setflags(write=False)
+    return TruncatedRep(system=system, in_band=in_band, out_band=out_band, S=tuple(s))
+
+
+def _windows(rep: TruncatedRep, support: tuple[int, int] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The column windows of the matrices the rep holds.
+
+    Column k of S_i can be nonzero only on the indices N k + t, t in the
+    filter support [t_min, t_max] (or the wider ``support`` given), so
+    W[i, a, k] = S_i[N k + t_min + a, k] holds every nonzero entry.
+    Returns W, shape (N, L, |in|), and the output-band positions rows[a, k]
+    of its entries; entries whose index falls outside the output band are
+    zero, with their row clipped to 0.  Raises ValueError when some S_i has
+    a nonzero outside its windows, which only a hand-built rep can have.
+    """
+    t_min, t_max = _filter_support(rep.system) if support is None else support
+    rows = _window_rows(rep.n, rep.in_band, t_min, t_max - t_min + 1, rep.out_band.k_min)
+    inside = (rows >= 0) & (rows < rep.out_band.size)
+    rows = np.where(inside, rows, 0)
+    cols = np.arange(rep.in_band.size)
+    windows = np.zeros((rep.n,) + rows.shape, dtype=complex)
+    for i, s in enumerate(rep.S):
+        s = np.ascontiguousarray(s, dtype=complex)
+        windows[i] = np.where(inside, s[rows, cols], 0.0)
+        # Counted over real and imaginary parts, which is cheaper and as exact.
+        if np.count_nonzero(s.view(np.float64)) != np.count_nonzero(windows[i].view(np.float64)):
+            raise ValueError(f"S_{i} has nonzero entries outside its weighted-shift windows")
+    return windows, rows
+
+
+def _scatter(rows: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """Sum values into a length-size vector at the positions rows."""
+    rows, values = rows.ravel(), values.ravel()
+    real = np.bincount(rows, weights=values.real, minlength=size)
+    return real + 1j * np.bincount(rows, weights=values.imag, minlength=size)
 
 
 def adjoint_apply(rep: TruncatedRep, i: int, f: np.ndarray) -> np.ndarray:
@@ -130,29 +178,55 @@ class CuntzReport:
         )
 
 
+def _lag_products(wa: np.ndarray, wb: np.ndarray, d: int) -> np.ndarray:
+    """Entries (k, k + d) of S_i^(a)* S_j^(b) from windows on one support:
+    out[i, j, k'] is the entry at column k' + max(d, 0) of the product.
+
+    Columns k and k + d of a weighted shift are N d indices apart, so their
+    windows overlap in L - N |d| positions and not at all beyond
+    |d| = floor((L - 1) / N).
+    """
+    n, length, cols = wa.shape
+    shift = n * abs(d)
+    if d >= 0:
+        a, b = wa[:, shift:, : cols - d], wb[:, : length - shift, d:]
+    else:
+        a, b = wa[:, : length - shift, -d:], wb[:, shift:, : cols + d]
+    return np.einsum("iak,jak->ijk", a.conj(), b)
+
+
 def verify_cuntz(rep: TruncatedRep) -> CuntzReport:
     """Residuals of the defining isometry and completeness relations.
 
     S_i* S_j = delta_ij is checked on the full input band (exact by the
     lossless output band); sum_i S_i S_i* = 1 is checked on the interior
-    sub-band only, which is reported.
+    sub-band only, which is reported.  Both are maxima over every entry of
+    those matrices, formed from the column windows of rep.S: S_i* S_j is
+    zero beyond lag floor((L - 1) / N), and sum_i S_i S_i* is Hermitian and
+    zero beyond row lag L - 1, so the other entries are exactly 0.
     """
     n = rep.n
-    eye_in = np.eye(rep.in_band.size)
+    w, rows = _windows(rep)
+    length, cols = w.shape[1], w.shape[2]
     iso = 0.0
-    for i in range(n):
-        for j in range(n):
-            prod = rep.S[i].conj().T @ rep.S[j]
-            target = eye_in if i == j else 0.0
-            iso = max(iso, float(np.max(np.abs(prod - target))))
+    for d in range(min((length - 1) // n, cols - 1) + 1):
+        gram = _lag_products(w, w, d)
+        if d == 0:
+            gram -= np.eye(n)[:, :, None]
+        iso = max(iso, float(np.max(np.abs(gram))))
 
     inner = interior_band(rep)
     if inner is None:
         return CuntzReport(isometry_residual=iso, completeness_residual=math.nan, interior=None)
-    total = sum(s @ s.conj().T for s in rep.S)
-    sl = slice(inner.k_min - rep.out_band.k_min, inner.k_max - rep.out_band.k_min + 1)
-    block = total[sl, sl]
-    comp = float(np.max(np.abs(block - np.eye(inner.size))))
+    lo = inner.k_min - rep.out_band.k_min
+    comp = 0.0
+    for e in range(min(length, inner.size)):
+        # Entry (p, p + e) of sum_i S_i S_i*, with p the position of w[:, a, k].
+        terms = np.einsum("iak,iak->ak", w[:, : length - e], w[:, e:].conj())
+        block = _scatter(rows[: length - e], terms, rep.out_band.size)[lo : lo + inner.size - e]
+        if e == 0:
+            block -= 1.0
+        comp = max(comp, float(np.max(np.abs(block))))
     return CuntzReport(isometry_residual=iso, completeness_residual=comp, interior=inner)
 
 
@@ -169,70 +243,57 @@ def reconstruct(rep: TruncatedRep, f: np.ndarray) -> tuple[np.ndarray, float]:
     inner = interior_band(rep)
     if inner is None:
         raise ValueError("representation has no interior band")
-    for idx in np.flatnonzero(np.abs(f) > 0):
-        if (idx + rep.out_band.k_min) not in inner:
-            raise ValueError(
-                f"vector has support at index {idx + rep.out_band.k_min} outside interior "
-                f"[{inner.k_min}, {inner.k_max}]"
-            )
-    g = np.zeros_like(f)
-    for s in rep.S:
-        g += s @ (s.conj().T @ f)
+    outside = np.ones(f.shape, dtype=bool)
+    outside[inner.k_min - rep.out_band.k_min : inner.k_max - rep.out_band.k_min + 1] = False
+    bad = np.flatnonzero(outside & (f != 0))
+    if bad.size:
+        raise ValueError(
+            f"vector has support at index {bad[0] + rep.out_band.k_min} outside interior "
+            f"[{inner.k_min}, {inner.k_max}]"
+        )
+    w, rows = _windows(rep)
+    coefficients = np.einsum("iak,ak->ik", w.conj(), f[rows])  # S_i* f
+    g = _scatter(rows, np.einsum("iak,ik->ak", w, coefficients), f.size)
     return g, float(np.max(np.abs(g - f)))
 
 
 def transition_operator_matrix(rep_a: TruncatedRep, rep_b: TruncatedRep, tol: float = 1e-10) -> MatrixLaurent:
     """Multiplication symbols of S_i^(a)* S_j^(b) as a matrix of Laurent polynomials.
 
-    Each symbol is the exact polyphase fiber sum of conj(n_i) m_j (the
-    entrywise circle adjoint of the transposed transition loop); the
-    truncated matrix products are then checked entrywise against the
-    symbols' multiplication-operator matrices on the input band, which the
-    lossless output band makes exact.
+    Each symbol is the exact polyphase fiber sum of conj(n_i) m_j: entry
+    (i, j) of the transposed loop P(m) star(P(n)), with P the polyphase
+    matrix.  The truncated products of the matrices the reps hold are then
+    checked entrywise against the symbols' multiplication-operator
+    matrices on the input band, which the lossless output band makes
+    exact: entry (k, k + d) of the product is the symbol's coefficient of
+    z^-d.  The products are formed lag by lag from windows over the union
+    of the two filter supports; beyond the last lag they are exactly 0.
     """
     if rep_a.n != rep_b.n:
         raise ValueError("representations have different scales")
     if rep_a.in_band != rep_b.in_band:
         raise ValueError("representations must share the input band")
     n = rep_a.n
-    band = rep_a.in_band
-    # Zero-row extension to a common output band leaves the adjoint products
-    # unchanged, so differently supported filters can still be compared.
-    out = Band(
-        min(rep_a.out_band.k_min, rep_b.out_band.k_min),
-        max(rep_a.out_band.k_max, rep_b.out_band.k_max),
-    )
+    size = rep_a.in_band.size
+    (a_min, a_max), (b_min, b_max) = _filter_support(rep_a.system), _filter_support(rep_b.system)
+    support = (min(a_min, b_min), max(a_max, b_max))
+    wa, _ = _windows(rep_a, support)
+    wb, _ = _windows(rep_b, support)
+    loop = polyphase_matrix(rep_b.system) @ polyphase_matrix(rep_a.system).star()
+    symbols = MatrixLaurent.from_tensor(loop.lo, loop.tensor.transpose(0, 2, 1))
 
-    def embed(rep: TruncatedRep, i: int) -> np.ndarray:
-        m = np.zeros((out.size, band.size), dtype=complex)
-        lo = rep.out_band.k_min - out.k_min
-        m[lo : lo + rep.out_band.size, :] = rep.S[i]
-        return m
-
-    rows = []
+    # The symbols have no exponent beyond the last lag either: conj(n_i) m_j
+    # has exponents of modulus at most L - 1.
+    lags = min((wa.shape[1] - 1) // n, size - 1)
     worst = 0.0
-    for i in range(n):
-        row = []
-        for j in range(n):
-            q = rep_a.system.filters[i].star() * rep_b.system.filters[j]
-            if q.is_zero:
-                symbol = LaurentPoly.zero()
-            else:
-                lo = math.ceil(q.valuation / n)
-                hi = math.floor(q.degree / n)
-                symbol = LaurentPoly(lo, [n * q.coeff(l * n) for l in range(lo, hi + 1)])
-            row.append(symbol)
-            prod = embed(rep_a, i).conj().T @ embed(rep_b, j)
-            expected = np.array(
-                [[symbol.coeff(p - k) for k in band.indices()] for p in band.indices()]
-            )
-            worst = max(worst, float(np.max(np.abs(prod - expected))))
-        rows.append(row)
+    for d in range(-lags, lags + 1):
+        prod = _lag_products(wa, wb, d)
+        worst = max(worst, float(np.max(np.abs(prod - symbols.laurent_coefficient(-d)[:, :, None]))))
     if worst > tol:
         raise RuntimeError(
             f"truncated operator products disagree with multiplication symbols: {worst:.3e} > {tol:.1e}"
         )
-    return MatrixLaurent(rows)
+    return symbols
 
 
 @dataclass(frozen=True)
@@ -266,9 +327,7 @@ def commutant_diagnostic(rep: TruncatedRep, tol: float = 1e-6) -> CommutantRepor
     dimension is the number of singular values of sigma - I below tol.
     The V_i are sliced out of rep.S, so the input band must contain K.
     """
-    n = rep.n
-    t_min, t_max = _filter_support(rep.system)
-    attractor = Band(math.ceil(-t_max / (n - 1)), math.floor(-t_min / (n - 1)))
+    attractor = attractor_band(rep.system)
     if attractor.k_min not in rep.in_band or attractor.k_max not in rep.in_band:
         raise ValueError(
             f"input band [{rep.in_band.k_min}, {rep.in_band.k_max}] does not contain the "

@@ -332,23 +332,22 @@ def check_intertwine(
     if not xi:
         return 0.0
     n = system.n
-    w = synthesize_W(xi, phi)
-    lhs_values = w.values / math.sqrt(n)  # at coarse index q = w.start_index + j
-    rhs = synthesize_W(shift_down(system, xi), phi)
-
-    lhs_lo = w.start_index
-    lhs_hi = w.start_index + len(w.values) - 1
-    rhs_lo = math.ceil(rhs.start_index / n)
-    rhs_hi = math.floor((rhs.start_index + len(rhs.values) - 1) / n)
-    lo = min(lhs_lo, rhs_lo)
-    hi = max(lhs_hi, rhs_hi)
-    left = np.zeros(hi - lo + 1, dtype=complex)
-    left[lhs_lo - lo : lhs_hi - lo + 1] = lhs_values
-    right = np.zeros_like(left)
-    if rhs_lo <= rhs_hi:
-        fine = np.arange(rhs_lo, rhs_hi + 1) * n - rhs.start_index
-        right[rhs_lo - lo : rhs_hi - lo + 1] = rhs.values[fine]
-    return float(np.max(np.abs(left - right)))
+    stride = n**phi.level
+    fine = phi.values
+    # On the coarse lattice q, with phi sampled at j N^-level:
+    #   U_N(W xi)(q) = N^-1/2 sum_k xi_k fine[q - k N^level],
+    #   W(S_0 xi)(q) = sum_p (S_0 xi)_p fine[N q - p N^level]
+    #                = sum_p (S_0 xi)_p coarse[q - p N^(level-1)],
+    # with coarse = fine[::N]; both sides go into one buffer.
+    coarse = np.ascontiguousarray(fine[::n])
+    root = math.sqrt(n)
+    terms = [(k * stride, complex(c) / root, fine) for k, c in sorted(xi.items())]
+    terms += [(p * (stride // n), -complex(c), coarse) for p, c in sorted(shift_down(system, xi).items())]
+    lo = min(start for start, _, _ in terms)
+    diff = np.zeros(max(start + len(v) for start, _, v in terms) - lo, dtype=complex)
+    for start, c, v in terms:
+        diff[start - lo : start - lo + len(v)] += c * v
+    return float(np.max(np.abs(diff)))
 
 
 def orthonormality_check(phi: ScalingFunctionSamples, k_range: int) -> float:

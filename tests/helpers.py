@@ -3,8 +3,10 @@
 These deliberately avoid the library's exact polyphase code paths: fiber
 sums are evaluated at sampled roots, kernels come from scipy, the corner
 search is exhaustive, the commutant is read off the band-truncated
-commutation constraints, and loop algebra is entrywise np.convolve on the
-coefficient arrays read out of LaurentPoly entries.  They exist to
+commutation constraints, loop algebra is entrywise np.convolve on the
+coefficient arrays read out of LaurentPoly entries, the Cuntz relations are
+full dense matrix products, and the intertwining identity is synthesized
+on the whole fine grid.  They exist to
 cross-check the production implementations, so keep them dumb.
 """
 
@@ -266,3 +268,112 @@ def brute_corner_n2(loop: Loop, tol: float = 1e-8) -> tuple[int, tuple[int, ...]
             best_rank = dim
             best_exps = tuple(sorted(exps))
     return best_rank, best_exps
+
+
+# -- Cuntz models and the intertwining identity, by dense products -------------
+
+
+def dense_weighted_shifts(system: FilterSystem, in_band: Band) -> tuple[Band, list[np.ndarray]]:
+    """The output band and S_i[p, k] = sqrt(N) c_{i, p-Nk}, written one
+    coefficient at a time on [N k_min + t_min, N k_max + t_max]."""
+    n = system.n
+    support = [t for f in system.filters for t in f.support()]
+    out = Band(n * in_band.k_min + min(support), n * in_band.k_max + max(support))
+    mats = []
+    for f in system.filters:
+        m = np.zeros((out.size, in_band.size), dtype=complex)
+        for kk, k in enumerate(in_band.indices()):
+            for t in f.support():
+                m[n * k + t - out.k_min, kk] = np.sqrt(n) * f.coeff(t)
+        mats.append(m)
+    return out, mats
+
+
+def brute_interior(rep) -> Band | None:
+    """Output indices p such that every k with p - Nk in the combined filter
+    support lies in the input band, found by trying every p and t."""
+    n = rep.n
+    support = [t for f in rep.system.filters for t in f.support()]
+    inside = [
+        p
+        for p in rep.out_band.indices()
+        if all((p - t) // n in rep.in_band for t in range(min(support), max(support) + 1) if (p - t) % n == 0)
+    ]
+    return Band(min(inside), max(inside)) if inside else None
+
+
+def dense_cuntz_residuals(rep) -> tuple[float, float]:
+    """Max entry of S_i^H S_j - delta_ij I over all N^2 full products, and of
+    sum_i S_i S_i^H - I over its interior block (nan without an interior)."""
+    n = rep.n
+    eye = np.eye(rep.in_band.size)
+    iso = max(
+        float(np.max(np.abs(rep.S[i].conj().T @ rep.S[j] - (eye if i == j else 0.0))))
+        for i in range(n)
+        for j in range(n)
+    )
+    inner = brute_interior(rep)
+    if inner is None:
+        return iso, float("nan")
+    total = sum(s @ s.conj().T for s in rep.S)
+    lo = inner.k_min - rep.out_band.k_min
+    block = total[lo : lo + inner.size, lo : lo + inner.size]
+    return iso, float(np.max(np.abs(block - np.eye(inner.size))))
+
+
+def dense_symbol_residual(rep_a, rep_b, symbols: MatrixLaurent) -> float:
+    """Max entry of S_i^(a)H S_j^(b) minus the Toeplitz matrix
+    [symbol_ij coefficient of z^(p - k)]_(p, k) on the input band, with both
+    models padded by zero rows to a common output band."""
+    out = Band(min(rep_a.out_band.k_min, rep_b.out_band.k_min), max(rep_a.out_band.k_max, rep_b.out_band.k_max))
+
+    def padded(rep, i):
+        m = np.zeros((out.size, rep.in_band.size), dtype=complex)
+        lo = rep.out_band.k_min - out.k_min
+        m[lo : lo + rep.out_band.size] = rep.S[i]
+        return m
+
+    lo, c = coefficient_grid(symbols)
+    band = list(rep_a.in_band.indices())
+    worst = 0.0
+    for i in range(rep_a.n):
+        for j in range(rep_a.n):
+            expected = np.array(
+                [[c[p - k - lo, i, j] if 0 <= p - k - lo < len(c) else 0.0 for k in band] for p in band]
+            )
+            worst = max(worst, float(np.max(np.abs(padded(rep_a, i).conj().T @ padded(rep_b, j) - expected))))
+    return worst
+
+
+def dense_intertwine_residual(system: FilterSystem, phi, xi: dict) -> float:
+    """sup |U_N(W xi) - W(S_0 xi)| over the coarse lattice q, by synthesizing
+    W xi and W(S_0 xi) on phi's whole fine grid (step N^-level) and reading
+    the second at every N-th sample: U_N(W xi)(q) = N^-1/2 (W xi)[q] and
+    W(S_0 xi)(q) = (W S_0 xi)[N q]."""
+    n = phi.n
+    stride = n**phi.level
+    vals = phi.values
+
+    def synthesize(seq):
+        k_min = min(seq)
+        out = np.zeros((max(seq) - k_min) * stride + len(vals), dtype=complex)
+        for k, c in seq.items():
+            out[(k - k_min) * stride : (k - k_min) * stride + len(vals)] += c * vals
+        return k_min * stride, out
+
+    a = system.filters[0]
+    down: dict[int, complex] = {}
+    for k, c in xi.items():
+        for t in a.support():
+            down[n * k + t] = down.get(n * k + t, 0.0) + np.sqrt(n) * a.coeff(t) * c
+    lhs_start, lhs = synthesize(xi)
+    rhs_start, rhs = synthesize(down)
+    q = np.arange(min(lhs_start, -(-rhs_start // n)), max(lhs_start + len(lhs), (rhs_start + len(rhs) - 1) // n + 1))
+    left = np.zeros(len(q), dtype=complex)
+    ok = (q >= lhs_start) & (q < lhs_start + len(lhs))
+    left[ok] = lhs[q[ok] - lhs_start] / np.sqrt(n)
+    right = np.zeros(len(q), dtype=complex)
+    fine = n * q - rhs_start
+    ok = (fine >= 0) & (fine < len(rhs))
+    right[ok] = rhs[fine[ok]]
+    return float(np.max(np.abs(left - right)))

@@ -62,6 +62,14 @@ class TestVerify:
         assert report["passed"] is False
         assert report["scalar_residual"] == pytest.approx(0.5, abs=1e-12)
 
+    def test_scale3_default_grid(self, tmp_path, capsys):
+        path = tmp_path / "n3.json"
+        path.write_text(json.dumps(N3_FILTERS))
+        assert main(["verify", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+        assert main(["verify", str(path), "--grid", "256"]) == 1
+        assert "multiple of 3" in capsys.readouterr().err
+
     def test_missing_file_is_usage_error(self, tmp_path):
         assert main(["verify", str(tmp_path / "nope.json")]) == 2
 
@@ -333,6 +341,15 @@ class TestCompleteCommand:
         assert doc["grid_size"] == 33
         assert doc["unitarity_residual"] <= 1e-10
 
+    def test_grid_mode_default_grid_scale3(self, tmp_path, capsys):
+        m0_path = tmp_path / "m0.json"
+        m0_path.write_text(json.dumps({**N3_FILTERS, "filters": N3_FILTERS["filters"][:1]}))
+        out = tmp_path / "sampled.json"
+        assert main(["complete", str(m0_path), "--mode", "grid", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["grid_size"] == 258
+        assert main(["complete", str(m0_path), "--mode", "grid", "--grid", "256", "--out", str(out)]) == 1
+        assert "multiple of 3" in capsys.readouterr().err
+
     def test_scalar_violation_exit1(self, tmp_path):
         m0_path = tmp_path / "bad.json"
         m0_path.write_text(
@@ -357,6 +374,16 @@ class TestCommutantCommand:
     def test_band_missing_attractor_exit1(self, d4_path, capsys):
         assert main(["commutant", d4_path, "--band", "2"]) == 1
         assert "K = [-3, 0]" in capsys.readouterr().err
+
+    def test_band_defaults_to_attractor(self, d4_path, tmp_path, capsys):
+        assert main(["commutant", d4_path, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["band"] == [-3, 0] and report["dimension"] == 1
+        path = tmp_path / "n3.json"
+        path.write_text(json.dumps(N3_FILTERS))
+        assert main(["commutant", str(path), "--json"]) == 0
+        expected = cuntz_rep.attractor_band(fileio.load_filter_file(path))
+        assert json.loads(capsys.readouterr().out)["band"] == [expected.k_min, expected.k_max]
 
 
 class TestMemoryError:

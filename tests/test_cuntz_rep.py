@@ -4,14 +4,24 @@ import numpy as np
 import pytest
 
 from conftest import random_vector, seeded_system
-from helpers import truncated_commutant_dimension
+from helpers import (
+    brute_interior,
+    dense_cuntz_residuals,
+    dense_symbol_residual,
+    dense_weighted_shifts,
+    sampled_transition,
+    truncated_commutant_dimension,
+)
 from loopwave import (
     Band,
+    FilterSystem,
     LaurentPoly,
     MatrixLaurent,
+    TruncatedRep,
     adjoint_apply,
     base_system,
     build_rep,
+    certify,
     certify_loop,
     commutant_diagnostic,
     daubechies4_system,
@@ -266,3 +276,188 @@ class TestCommutantDiagnostic:
         assert commutant_diagnostic(build_rep(d4, Band(-3, 3))).band == Band(-3, 0)
         with pytest.raises(ValueError, match=r"K = \[-3, 0\]"):
             commutant_diagnostic(build_rep(d4, Band(-2, 2)))
+
+
+def _shifted(system, k):
+    """The system with every filter multiplied by z^k, certified."""
+    return certify(FilterSystem(system.n, [f * LaurentPoly.monomial(k) for f in system.filters]))
+
+
+ORACLE_SYSTEMS = {
+    "haar": haar_system(),
+    "d4": daubechies4_system(),
+    "base3": base_system(3),
+    "N2 deg4": seeded_system(2, 4, 1),
+    "N3 deg2": seeded_system(3, 2, 5),
+    "N4 deg3": seeded_system(4, 3, 2),
+    "N8 deg2": seeded_system(8, 2, 3),
+    "N3 deg2 z^-4": _shifted(seeded_system(3, 2, 6), -4),
+    "d4 z^-3": _shifted(daubechies4_system(), -3),
+}
+ORACLE_BANDS = [Band(-9, 9), Band(-2, 5), Band(0, 0), Band(3, 4)]
+
+
+def _with_matrix(rep, i, s):
+    """A hand-built copy of rep whose S_i is s."""
+    mats = list(rep.S)
+    mats[i] = s
+    return TruncatedRep(system=rep.system, in_band=rep.in_band, out_band=rep.out_band, S=tuple(mats))
+
+
+class TestAgainstDenseOracles:
+    @pytest.mark.parametrize("name", ORACLE_SYSTEMS)
+    @pytest.mark.parametrize("band", ORACLE_BANDS, ids=str)
+    def test_build_rep(self, name, band):
+        system = ORACLE_SYSTEMS[name]
+        rep = build_rep(system, band)
+        out, mats = dense_weighted_shifts(system, band)
+        assert rep.out_band == out
+        for s, m in zip(rep.S, mats):
+            assert s.shape == m.shape and not s.flags.writeable
+            assert np.array_equal(s, m)
+
+    @pytest.mark.parametrize("name", ORACLE_SYSTEMS)
+    @pytest.mark.parametrize("band", ORACLE_BANDS, ids=str)
+    def test_verify_cuntz(self, name, band):
+        rep = build_rep(ORACLE_SYSTEMS[name], band)
+        report = verify_cuntz(rep)
+        iso, comp = dense_cuntz_residuals(rep)
+        assert report.interior == brute_interior(rep)
+        assert abs(report.isometry_residual - iso) <= 1e-14
+        if report.interior is None:
+            assert math.isnan(report.completeness_residual) and math.isnan(comp)
+        else:
+            assert abs(report.completeness_residual - comp) <= 1e-14
+
+    def test_interior_none_bands_covered(self):
+        assert interior_band(build_rep(ORACLE_SYSTEMS["N8 deg2"], Band(0, 0))) is None
+        assert interior_band(build_rep(ORACLE_SYSTEMS["d4"], Band(0, 0))) is None
+
+    def test_base_systems_exact(self):
+        for n in (2, 3, 4, 8):
+            report = verify_cuntz(build_rep(base_system(n), Band(-7, 7)))
+            assert report.isometry_residual == 0.0
+            assert report.completeness_residual == 0.0
+
+    @pytest.mark.parametrize(
+        "name, other",
+        [(a, b) for a in ORACLE_SYSTEMS for b in ORACLE_SYSTEMS if ORACLE_SYSTEMS[a].n == ORACLE_SYSTEMS[b].n],
+    )
+    def test_transition_symbols(self, name, other):
+        system_a, system_b = ORACLE_SYSTEMS[name], ORACLE_SYSTEMS[other]
+        band = Band(-5, 6)
+        rep_a, rep_b = build_rep(system_a, band), build_rep(system_b, band)
+        symbols = transition_operator_matrix(rep_a, rep_b)
+        assert dense_symbol_residual(rep_a, rep_b, symbols) <= 1e-14
+        # symbol_ij(z) = sum over w^N = z of conj(m^(a)_i(w)) m^(b)_j(w)
+        for z in np.exp(2j * np.pi * np.array([0.1, 0.37, 0.8])):
+            assert np.max(np.abs(symbols.eval(z) - sampled_transition(system_b, system_a, z).T)) <= 1e-12
+
+    def test_in_window_perturbation_reported_at_its_size(self):
+        rep = build_rep(ORACLE_SYSTEMS["N3 deg2"], Band(-8, 8))
+        s = rep.S[1].copy()
+        s[3 * 5 + 2, 5] += 1e-7  # column 5's window starts at row N * 5
+        bumped = _with_matrix(rep, 1, s)
+        report = verify_cuntz(bumped)
+        iso, comp = dense_cuntz_residuals(bumped)
+        assert abs(report.isometry_residual - iso) <= 1e-14
+        assert abs(report.completeness_residual - comp) <= 1e-14
+        assert 1e-8 <= report.isometry_residual <= 1e-6
+        assert 1e-8 <= report.completeness_residual <= 1e-6
+        with pytest.raises(RuntimeError, match="disagree"):
+            transition_operator_matrix(bumped, bumped)
+        symbols = transition_operator_matrix(bumped, bumped, tol=1e-6)
+        assert 1e-8 <= dense_symbol_residual(bumped, bumped, symbols) <= 1e-6
+
+    def test_off_window_entry_rejected(self):
+        rep = build_rep(ORACLE_SYSTEMS["d4"], Band(-6, 6))
+        s = rep.S[1].copy()
+        s[0, rep.in_band.size - 1] = 1e-3  # index N k_min + t_min, outside column k_max's window
+        bad = _with_matrix(rep, 1, s)
+        f = np.zeros(rep.out_band.size, dtype=complex)
+        f[rep.out_band.size // 2] = 1.0
+        for call in (lambda: verify_cuntz(bad), lambda: reconstruct(bad, f), lambda: transition_operator_matrix(rep, bad)):
+            with pytest.raises(ValueError, match="S_1"):
+                call()
+
+    @pytest.mark.parametrize("name", ["d4", "N3 deg2", "N8 deg2", "d4 z^-3"])
+    def test_reconstruct(self, name):
+        rng = np.random.default_rng(7)
+        rep = build_rep(ORACLE_SYSTEMS[name], Band(-6, 6))
+        inner = interior_band(rep)
+        f = np.zeros(rep.out_band.size, dtype=complex)
+        lo = inner.k_min - rep.out_band.k_min
+        f[lo : lo + inner.size] = random_vector(inner.size, rng)
+        g, residual = reconstruct(rep, f)
+        dense = sum(s @ (s.conj().T @ f) for s in rep.S)
+        assert np.max(np.abs(g - dense)) <= 1e-14
+        assert residual == pytest.approx(float(np.max(np.abs(dense - f))), abs=1e-14)
+
+    def test_reconstruct_names_first_index_outside(self):
+        rep = build_rep(ORACLE_SYSTEMS["d4"], Band(-4, 4))
+        inner = interior_band(rep)
+        f = np.zeros(rep.out_band.size, dtype=complex)
+        f[inner.k_max + 1 - rep.out_band.k_min] = 1.0
+        f[inner.k_min - 1 - rep.out_band.k_min] = 1.0
+        f[inner.k_min - rep.out_band.k_min] = 1.0
+        with pytest.raises(ValueError, match=rf"index {inner.k_min - 1} outside interior \[{inner.k_min}, {inner.k_max}\]"):
+            reconstruct(rep, f)
+
+
+class TestOutermostLags:
+    """Hand-built models whose largest residual sits at the outermost lag of
+    a banded product, so that a lag range stopping one short shows."""
+
+    @staticmethod
+    def _s0_entries(rep, entries, value=2.0):
+        """rep with S_0 replaced by value at window positions (a, k): row N k + a."""
+        s = np.zeros_like(rep.S[0])
+        for a, kk in entries:
+            s[rep.n * kk + a, kk] = value
+        return _with_matrix(rep, 0, s)
+
+    @staticmethod
+    def _window_length(rep):
+        return rep.out_band.size - rep.n * (rep.in_band.size - 1)
+
+    @pytest.mark.parametrize("name", ["d4", "N3 deg2", "N4 deg3", "N8 deg2"])
+    def test_isometry(self, name):
+        rep = build_rep(ORACLE_SYSTEMS[name], Band(-6, 6))
+        lag = (self._window_length(rep) - 1) // rep.n
+        # columns 4 and 4 + lag share the output index N (4 + lag)
+        bad = self._s0_entries(rep, [(rep.n * lag, 4), (0, 4 + lag)])
+        iso, _ = dense_cuntz_residuals(bad)
+        assert iso == pytest.approx(4.0, abs=1e-12)
+        assert abs(verify_cuntz(bad).isometry_residual - iso) <= 1e-14
+
+    @pytest.mark.parametrize("name", ["d4", "N3 deg2", "N4 deg3", "N8 deg2"])
+    def test_completeness(self, name):
+        rep = build_rep(ORACLE_SYSTEMS[name], Band(-6, 6))
+        length = self._window_length(rep)
+        bad = self._s0_entries(rep, [(0, 6), (length - 1, 6)])
+        _, comp = dense_cuntz_residuals(bad)
+        assert comp >= 4.0 - 1.0
+        assert abs(verify_cuntz(bad).completeness_residual - comp) <= 1e-14
+
+    @pytest.mark.parametrize("name", ["d4", "N3 deg2"])
+    def test_completeness_block_edge(self, name):
+        # entry (p, p + 1) with p the last interior index lies outside the block
+        rep = build_rep(ORACLE_SYSTEMS[name], Band(-6, 6))
+        last = interior_band(rep).k_max - rep.out_band.k_min
+        kk = last // rep.n
+        bad = self._s0_entries(rep, [(last - rep.n * kk, kk), (last - rep.n * kk + 1, kk)])
+        _, comp = dense_cuntz_residuals(bad)
+        assert abs(verify_cuntz(bad).completeness_residual - comp) <= 1e-14
+
+    @pytest.mark.parametrize("a", [0, 3], ids=["positive lag", "negative lag"])
+    def test_transition_symbols(self, a):
+        # d4 windows are (0.48, 0.84, 0.22, -0.13) and (-0.13, -0.22, 0.84, -0.48):
+        # an entry at offset 0 meets 0.84 one lag up, at offset 3 one lag down.
+        rep = build_rep(ORACLE_SYSTEMS["d4"], Band(-6, 6))
+        bad = self._s0_entries(rep, [(a, 6)])
+        symbols = transition_operator_matrix(rep, bad, tol=10.0)
+        worst = dense_symbol_residual(rep, bad, symbols)
+        assert worst == pytest.approx(2 * 0.8365163037378079, rel=1e-12)
+        transition_operator_matrix(rep, bad, tol=worst * (1 + 1e-12))
+        with pytest.raises(RuntimeError):
+            transition_operator_matrix(rep, bad, tol=worst * (1 - 1e-12))

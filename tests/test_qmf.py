@@ -19,7 +19,7 @@ from loopwave import (
     verify_qmf,
     verify_scalar_qmf,
 )
-from loopwave.qmf import fiber_representatives
+from loopwave.qmf import default_grid, fiber_representatives
 
 from helpers import pointwise_completion, sampled_grid_residual
 
@@ -62,6 +62,26 @@ class TestVerifyQmf:
     def test_grid_size_must_be_multiple_of_n(self, haar):
         with pytest.raises(ValueError):
             verify_qmf(haar, grid_size=15)
+
+    @pytest.mark.parametrize("n, grid", [(2, 256), (3, 258), (5, 260), (7, 259), (8, 256), (300, 300)])
+    def test_default_grid_is_smallest_multiple_of_n_from_256(self, n, grid):
+        assert default_grid(n) == grid
+
+    def test_default_grid_for_scale_3(self):
+        system = loop_to_filters(random_paraunitary(3, 2, 5))
+        report = verify_qmf(system)
+        assert report.passed and report.grid_residual <= 1e-12
+        assert certify(system.with_verified(False)).verified
+        with pytest.raises(ValueError, match="multiple of 3"):
+            verify_qmf(system, grid_size=256)
+        with pytest.raises(ValueError, match="multiple of 3"):
+            certify(system, grid_size=256)
+
+    def test_grid_completion_default_for_scale_3(self):
+        sampled = complete(LaurentPoly(0, (1 / 3, 1 / 3, 1 / 3)), 3, mode="grid")
+        assert len(sampled.base_points) == 258
+        with pytest.raises(ValueError, match="multiple of 3"):
+            complete(LaurentPoly(0, (1 / 3, 1 / 3, 1 / 3)), 3, mode="grid", grid_size=256)
 
     def test_certify_flags_or_raises(self, haar):
         assert certify(haar).verified

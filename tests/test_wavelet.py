@@ -9,6 +9,7 @@ from loopwave import (
     base_system,
     cascade,
     check_intertwine,
+    complete,
     daubechies4_system,
     haar_system,
     orthonormality_check,
@@ -17,6 +18,9 @@ from loopwave import (
     wavelets,
 )
 from loopwave.wavelet import refinement_residual, shift_down
+
+from conftest import seeded_lowpass_system
+from helpers import dense_intertwine_residual
 
 ROOT2 = math.sqrt(2.0)
 
@@ -207,6 +211,35 @@ class TestIntertwine:
             assert res <= 1e-12 * scale
             residuals.append(res)
         print(f"d4 intertwine residuals at levels 6/9/12: {residuals}")
+
+
+def _spread_box_system():
+    m0 = LaurentPoly(0, (0.5, 0.0, 0.0, 0.5))
+    return complete(m0, 2)
+
+
+INTERTWINE_CASES = {
+    "haar": (haar_system, 6, "box", True),
+    "d4": (daubechies4_system, 12, "point", True),
+    "N=3 low-pass": (lambda: seeded_lowpass_system(3, 2, 4), 6, "point", True),
+    "(1+z^3)/2": (_spread_box_system, 8, "box", False),
+}
+
+
+@pytest.mark.parametrize("case", INTERTWINE_CASES)
+def test_intertwine_matches_full_grid_synthesis(case):
+    make, level, seed, converged = INTERTWINE_CASES[case]
+    system = make()
+    phi = cascade(system.filters[0], system.n, level)
+    assert phi.seed == seed and phi.converged == converged
+    rng = np.random.default_rng(5)
+    sequences = [
+        {0: 1.0},
+        {-2: 1j, 4: 0.5},
+        {k: complex(rng.standard_normal(), rng.standard_normal()) for k in range(-3, 4)},
+    ]
+    for xi in sequences:
+        assert abs(check_intertwine(system, phi, xi) - dense_intertwine_residual(system, phi, xi)) <= 1e-14
 
 
 class TestOrthonormality:
