@@ -24,6 +24,9 @@ from .loopgroup import FilterSystem, Loop, filters_to_loop, loop_to_filters, pol
 
 PASS, FAIL, USAGE = 0, 1, 2
 
+#: Rows of the cascade CSV formatted and written at a time.
+CSV_CHUNK_ROWS = 4096
+
 
 def _default_tol(fallback: float = 1e-10) -> float:
     raw = os.environ.get("LOOPWAVE_TOL")
@@ -175,20 +178,24 @@ def cmd_cascade(args: argparse.Namespace) -> int:
     phi = wavelet.cascade(system.filters[0], system.n, args.iters, tol=args.tol)
     psi = wavelet.wavelets(system, phi)
 
-    # Built column by column and joined with csv's "\r\n" line terminator;
-    # no cell holds a character that csv would quote.  Row i holds x = i step,
-    # phi there, and each psi at its fine index i N - start (0 off its support).
+    # Built column by column, CSV_CHUNK_ROWS rows at a time, and joined with
+    # csv's "\r\n" line terminator; no cell holds a character that csv would
+    # quote.  Row i holds x = i step, phi there, and each psi at its fine index
+    # i N - start (0 off its support).
     rows = len(phi.values)
-    columns = [_cells(np.arange(rows) * phi.step), _cells(phi.values)]
-    fine = np.arange(rows) * system.n - psi.start_index
-    inside = (fine >= 0) & (fine < psi.values.shape[1])
-    for g in range(system.n - 1):
-        col = np.zeros(rows, dtype=psi.values.dtype)
-        col[inside] = psi.values[g, fine[inside]]
-        columns.append(_cells(col))
     header = ",".join(["x", "phi"] + [f"psi_{i}" for i in range(1, system.n)])
     with open(args.out, "w", newline="") as fh:
-        fh.write("\r\n".join([header] + [",".join(cells) for cells in zip(*columns)]) + "\r\n")
+        fh.write(header + "\r\n")
+        for start in range(0, rows, CSV_CHUNK_ROWS):
+            index = np.arange(start, min(start + CSV_CHUNK_ROWS, rows))
+            columns = [_cells(index * phi.step), _cells(phi.values[index])]
+            fine = index * system.n - psi.start_index
+            inside = (fine >= 0) & (fine < psi.values.shape[1])
+            for g in range(system.n - 1):
+                col = np.zeros(len(index), dtype=psi.values.dtype)
+                col[inside] = psi.values[g, fine[inside]]
+                columns.append(_cells(col))
+            fh.write("\r\n".join(",".join(cells) for cells in zip(*columns)) + "\r\n")
     print(
         f"wrote {args.out} ({len(phi.values)} rows, seed={phi.seed}, "
         f"converged={phi.converged}, last_delta={phi.last_delta:.3e})"

@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from .laurent import TRIM_TOL, _entry_spans, _in_span, _trimmed_max
 from .loopgroup import Loop, certify_loop
 
 #: Relative singular-value threshold for all rank decisions.
@@ -73,26 +74,28 @@ def graded_kernels(loop: Loop) -> dict[int, np.ndarray]:
     if not loop.certified:
         raise ValueError("graded kernels require a certified paraunitary loop")
     n = loop.n
-    coeffs = loop.mat.coefficients()
-    support = sorted(coeffs)
+    support = loop.mat.support()
     out: dict[int, np.ndarray] = {}
     for exp in support:
         if exp < 0:
             continue
-        others = [coeffs[c] for c in support if c != exp]
-        stacked = np.vstack(others) if others else np.zeros((0, n), dtype=complex)
-        basis = _null_space(stacked, n)
+        others = [c - loop.mat.lo for c in support if c != exp]
+        basis = _null_space(loop.mat.tensor[others].reshape(-1, n), n)
         if basis.shape[1] > 0:
             out[exp] = basis
     exps = sorted(out)
-    for a in range(len(exps)):
-        for b in range(a + 1, len(exps)):
-            overlap = np.max(np.abs(out[exps[a]].conj().T @ out[exps[b]]))
-            if overlap > 1e-10:
-                raise RuntimeError(
-                    f"graded kernels K_{exps[a]} and K_{exps[b]} are not orthogonal "
-                    f"(overlap {overlap:.3e}); input loop is not paraunitary enough"
-                )
+    if len(exps) > 1:
+        stacked = np.hstack([out[e] for e in exps])
+        bounds = np.cumsum([0] + [out[e].shape[1] for e in exps])[:-1]
+        gram = np.abs(stacked.conj().T @ stacked)
+        block = np.maximum.reduceat(np.maximum.reduceat(gram, bounds, axis=0), bounds, axis=1)
+        offending = np.argwhere(np.triu(block > 1e-10, 1))
+        if len(offending):
+            a, b = offending[0]
+            raise RuntimeError(
+                f"graded kernels K_{exps[a]} and K_{exps[b]} are not orthogonal "
+                f"(overlap {block[a, b]:.3e}); input loop is not paraunitary enough"
+            )
     return out
 
 
@@ -121,8 +124,11 @@ class Verdict:
 
 
 def _verify_witness(loop: Loop, vectors: np.ndarray, exponents: tuple[int, ...]) -> CornerWitness:
-    from .laurent import LaurentPoly
+    """Re-check A(z) v_k = z^{n_k} V v_k coefficientwise on the loop's tensor.
 
+    Each entry of A(z) v_k is end-trimmed and each component of V v_k is
+    dropped at TRIM_TOL before the subtraction, as their LaurentPoly forms
+    would be, so the residual is the same per-entry trimmed maximum."""
     m = vectors.shape[1]
     residual = float(np.max(np.abs(vectors.conj().T @ vectors - np.eye(m))))
     images = np.column_stack(
@@ -130,12 +136,16 @@ def _verify_witness(loop: Loop, vectors: np.ndarray, exponents: tuple[int, ...])
     )
     v_matrix = vectors.conj().T @ images
     residual = max(residual, float(np.max(np.abs(v_matrix.conj().T @ v_matrix - np.eye(m)))))
-    for k in range(m):
-        lhs = loop.mat.apply(vectors[:, k])
-        rhs_vec = vectors @ v_matrix[:, k]
-        for i in range(loop.n):
-            diff = lhs[i] - LaurentPoly.monomial(exponents[k], rhs_vec[i])
-            residual = max(residual, diff.max_abs())
+    tensor, lo = loop.mat.tensor, loop.mat.lo
+    lhs = np.stack([tensor @ vectors[:, k] for k in range(m)], axis=2)
+    rhs = np.column_stack([vectors @ v_matrix[:, k] for k in range(m)])
+    rhs[np.abs(rhs) <= TRIM_TOL] = 0.0
+    lags = np.asarray(exponents) - lo
+    start = min(0, int(lags.min()))
+    diff = np.zeros((max(len(tensor), int(lags.max()) + 1) - start, loop.n, m), dtype=complex)
+    diff[-start : len(tensor) - start] = np.where(_in_span(lhs, *_entry_spans(lhs)), lhs, 0.0)
+    diff[lags - start, :, np.arange(m)] -= rhs.T
+    residual = max(residual, _trimmed_max(diff))
     if residual > WITNESS_TOL:
         raise RuntimeError(
             f"corner witness failed symbolic re-verification (residual {residual:.3e}); "
@@ -165,7 +175,7 @@ def detect_corner(loop: Loop) -> Optional[CornerWitness]:
     kernels = graded_kernels(loop)
     if not kernels:
         return None
-    coeff = {exp: loop.mat.laurent_coefficient(exp) for exp in kernels}
+    coeff = {exp: loop.mat.tensor[exp - loop.mat.lo] for exp in kernels}
     pieces = dict(kernels)
     for _ in range(loop.n + 1):
         basis = np.hstack(list(pieces.values()))

@@ -5,9 +5,10 @@ sums are evaluated at sampled roots, kernels come from scipy, the corner
 search is exhaustive, the commutant is read off the band-truncated
 commutation constraints, loop algebra is entrywise np.convolve on the
 coefficient arrays read out of LaurentPoly entries, the Cuntz relations are
-full dense matrix products, and the intertwining identity is synthesized
-on the whole fine grid.  They exist to
-cross-check the production implementations, so keep them dumb.
+full dense matrix products, the intertwining identity is synthesized
+on the whole fine grid, and the corner witness is re-checked with one
+LaurentPoly subtraction per component.  They exist to cross-check the
+production implementations, so keep them dumb.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import itertools
 import numpy as np
 import scipy.linalg
 
-from loopwave import Band, FilterSystem, Loop, MatrixLaurent
+from loopwave import Band, FilterSystem, LaurentPoly, Loop, MatrixLaurent
 
 
 def fiber_points(z: complex, n: int) -> np.ndarray:
@@ -268,6 +269,27 @@ def brute_corner_n2(loop: Loop, tol: float = 1e-8) -> tuple[int, tuple[int, ...]
             best_rank = dim
             best_exps = tuple(sorted(exps))
     return best_rank, best_exps
+
+
+def laurent_witness_residual(loop: Loop, vectors: np.ndarray, exponents: tuple[int, ...]) -> float:
+    """The corner-witness residual with one LaurentPoly subtraction per
+    component: the orthonormality defect of the vectors, the unitarity
+    defect of V = vectors^H [A_{n_k} v_k], and the largest coefficient of
+    A(z) v_k - (V v_k)_i z^{n_k}, each side trimmed as LaurentPoly trims."""
+    m = vectors.shape[1]
+    residual = float(np.max(np.abs(vectors.conj().T @ vectors - np.eye(m))))
+    images = np.column_stack(
+        [loop.mat.laurent_coefficient(exponents[k]) @ vectors[:, k] for k in range(m)]
+    )
+    v_matrix = vectors.conj().T @ images
+    residual = max(residual, float(np.max(np.abs(v_matrix.conj().T @ v_matrix - np.eye(m)))))
+    for k in range(m):
+        lhs = loop.mat.apply(vectors[:, k])
+        rhs_vec = vectors @ v_matrix[:, k]
+        for i in range(loop.n):
+            diff = lhs[i] - LaurentPoly.monomial(exponents[k], rhs_vec[i])
+            residual = max(residual, diff.max_abs())
+    return residual
 
 
 # -- Cuntz models and the intertwining identity, by dense products -------------

@@ -229,7 +229,8 @@ N3_FILTERS = {
 
 class TestCascadeCsvBytes:
     """The CSV writer's exact output, pinned from the row-by-row csv.writer
-    version (numpy 2.4, x86-64); the N = 3 file has complex cells."""
+    version (numpy 2.4, x86-64); the N = 3 file has complex cells, and the
+    d4 file at 12 iterations spans several write chunks."""
 
     def test_haar_bytes(self, haar_path, tmp_path):
         out = tmp_path / "haar.csv"
@@ -254,6 +255,19 @@ class TestCascadeCsvBytes:
         )
         assert len(data) == 3248
         assert hashlib.sha256(data).hexdigest() == "e20e75565b3b02668f3d1dab29fb657dfc7534a6af68926ae40cfb598088ea00"
+
+    def test_d4_bytes_across_chunks(self, d4_path, tmp_path, capsys):
+        import hashlib
+
+        from loopwave.cli import CSV_CHUNK_ROWS
+
+        out = tmp_path / "d4.csv"
+        assert main(["cascade", d4_path, "--iters", "12", "--out", str(out)]) == 0
+        assert "12289 rows, seed=point" in capsys.readouterr().out
+        assert 12289 > 2 * CSV_CHUNK_ROWS
+        data = out.read_bytes()
+        assert len(data) == 682396
+        assert hashlib.sha256(data).hexdigest() == "d88fea3f729afc075ac53c44f7962e37dbb85aa50f38bcff460b94cff96d1841"
 
 
 class TestInputParsedOnce:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import seeded_loop
-from helpers import brute_corner_n2
+from helpers import brute_corner_n2, laurent_witness_residual
 from loopwave import (
     LaurentPoly,
     MatrixLaurent,
@@ -20,7 +20,9 @@ from loopwave.irreducibility import (
     INEQUIVALENT,
     IRREDUCIBLE,
     REDUCIBLE,
+    _verify_witness,
 )
+from loopwave.laurent import TRIM_TOL
 from loopwave.loopgroup import Loop, random_unitary
 
 
@@ -62,6 +64,14 @@ class TestGradedKernels:
     def test_uncertified_rejected(self):
         with pytest.raises(ValueError):
             graded_kernels(Loop(MatrixLaurent.identity(2), certified=False))
+
+    def test_non_orthogonal_kernels_named(self):
+        # A(z) = A_0 + A_1 z with ker A_1 = span(1, -1) and ker A_0 = span e_1:
+        # not paraunitary, so K_0 and K_1 overlap
+        tensor = np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 1.0]]], dtype=complex)
+        loop = Loop(MatrixLaurent.from_tensor(0, tensor), certified=True)
+        with pytest.raises(RuntimeError, match="K_0 and K_1 are not orthogonal"):
+            graded_kernels(loop)
 
 
 class TestDetectCorner:
@@ -105,6 +115,76 @@ class TestDetectCorner:
                 for i in range(loop.n):
                     diff = lhs[i] - LaurentPoly.monomial(witness.exponents[k], rhs[i])
                     assert diff.max_abs() <= 1e-10
+
+
+class TestWitnessResidual:
+    """The tensor re-check of a corner witness against the LaurentPoly
+    oracle: the residual must agree to the last bit."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, 16])
+    @pytest.mark.parametrize("degree", range(4))
+    def test_matches_oracle(self, n, degree):
+        for seed in range(3):
+            a = seeded_loop(n, degree, seed)
+            turn = MatrixLaurent.from_constant(random_unitary(n, np.random.default_rng(seed + 100)))
+            # the transition loop that equivalent(A, V A) searches
+            c = certify_loop(a.mat @ (turn @ a.mat).star())
+            for loop in (a, c):
+                witness = detect_corner(loop)
+                if witness is None:
+                    continue
+                assert witness.residual == laurent_witness_residual(loop, witness.vectors, witness.exponents)
+
+    @staticmethod
+    def _trim_case(scale: float, s: float):
+        # A(z) = diag(z, scale z) and v = (1, s): entry 1 of A(z) v is
+        # scale s z, and (V v)_1 = s lands on the same lag
+        tensor = np.zeros((2, 2, 2), dtype=complex)
+        tensor[1] = np.diag([1.0, scale])
+        loop = Loop(MatrixLaurent.from_tensor(0, tensor), certified=False)
+        vectors = np.array([[1.0], [s]], dtype=complex)
+        return loop, vectors, (1,)
+
+    @pytest.mark.parametrize(
+        "scale, s, expected",
+        [
+            # both sides at TRIM_TOL: both dropped
+            (1.0, TRIM_TOL, 0.0),
+            # end coefficient of A(z) v at TRIM_TOL, (V v)_1 above: only -s is left
+            (0.5, 2 * TRIM_TOL, 2 * TRIM_TOL),
+            # end coefficient just above TRIM_TOL: kept and subtracted
+            (0.5, 2 * np.nextafter(TRIM_TOL, 1.0), np.nextafter(TRIM_TOL, 1.0)),
+            # (V v)_1 at TRIM_TOL, end coefficient above: only 2 s is left
+            (2.0, TRIM_TOL, 2 * TRIM_TOL),
+            # (V v)_1 just above TRIM_TOL: kept and subtracted
+            (2.0, np.nextafter(TRIM_TOL, 1.0), np.nextafter(TRIM_TOL, 1.0)),
+        ],
+    )
+    def test_trim_rule(self, scale, s, expected):
+        loop, vectors, exponents = self._trim_case(scale, s)
+        witness = _verify_witness(loop, vectors, exponents)
+        assert witness.residual == laurent_witness_residual(loop, vectors, exponents)
+        assert witness.residual == expected
+
+    def test_perturbed_vector_raises(self):
+        for seed in range(6):
+            loop = seeded_loop(3, 1, seed)
+            witness = detect_corner(loop)
+            assert witness is not None
+            vectors = witness.vectors.copy()
+            vectors[0, 0] += 1e-8
+            with pytest.raises(RuntimeError):
+                _verify_witness(loop, vectors, witness.exponents)
+
+    def test_rotated_vector_raises_on_coefficients(self):
+        # diag(z^2, z^5, z^-1) with v_0 turned by 1e-8 toward e_2: the vectors
+        # stay orthonormal and V unitary, but A(z) v_0 gains a z^-1 term
+        loop = certify_loop(MatrixLaurent.diag([LaurentPoly.monomial(e) for e in (2, 5, -1)]))
+        eps = 1e-8
+        vectors = np.array([[np.cos(eps), 0.0], [0.0, 1.0], [np.sin(eps), 0.0]], dtype=complex)
+        assert laurent_witness_residual(loop, vectors, (2, 5)) > 1e-10
+        with pytest.raises(RuntimeError):
+            _verify_witness(loop, vectors, (2, 5))
 
 
 class TestClassify:
