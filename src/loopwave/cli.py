@@ -164,17 +164,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_cascade(args: argparse.Namespace) -> int:
     loaded = fileio.load_filter_file(args.path)
     assert isinstance(loaded, FilterSystem)
-    report = qmf.verify_qmf(loaded, tol=args.tol, grid_size=qmf.default_grid(loaded.n))
-    if not report.passed:
-        raise _MathFailure(
-            f"{args.path}: filter system fails QMF verification "
-            f"(unitary residual {report.unitary_residual:.3e})"
-        )
-    if not report.low_pass:
-        raise _MathFailure(
-            f"{args.path}: m_0 is not low-pass (m_0(1) must equal 1 for a scaling filter)"
-        )
-    system = loaded.with_verified(True)
+    system = qmf.certify(loaded, tol=args.tol)
     phi = wavelet.cascade(system.filters[0], system.n, args.iters, tol=args.tol)
     psi = wavelet.wavelets(system, phi)
 

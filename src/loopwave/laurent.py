@@ -11,7 +11,6 @@ identity rather than a sampling statement.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
@@ -497,7 +496,3 @@ def unit_grid(size: int) -> np.ndarray:
     if size < 1:
         raise ValueError("grid size must be positive")
     return np.exp(2j * np.pi * np.arange(size) / size)
-
-
-def root_of_unity(n: int, k: int = 1) -> complex:
-    return cmath.exp(2j * cmath.pi * k / n)

@@ -18,12 +18,18 @@ of two seeds:
   are then the cell values of the piecewise-constant iterates, so discrete
   sums reproduce the continuum integrals of the iterates without
   quadrature error.
+
+The generators, W xi = sum_k xi_k phi(. - k) and each refinement step are
+sums of translates of one sample array.  W intertwines the low-pass
+isometry S_0 with the dilation U_N f(x) = N^{-1/2} f(x/N) up to the
+refinement defect D(y) = phi(y) - N sum_t a_t phi(N y - t):
+    U_N(W xi)(x) - W(S_0 xi)(x) = N^{-1/2} sum_k xi_k D(x/N - k).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -51,20 +57,39 @@ NORMALIZATION_NOTE = (
 
 
 @dataclass(frozen=True)
-class ScalingFunctionSamples:
+class GridFunction:
+    """A finitely supported function sampled on the lattice k * n^-level.
+
+    The first sample along the last axis of values sits at
+    start_index * n^-level; everything outside the samples is zero.
+    """
+
+    n: int
+    level: int
+    start_index: int
+    values: np.ndarray
+
+    @property
+    def step(self) -> float:
+        return float(self.n) ** (-self.level)
+
+    def grid(self) -> np.ndarray:
+        return (self.start_index + np.arange(self.values.shape[-1])) * self.step
+
+
+@dataclass(frozen=True)
+class ScalingFunctionSamples(GridFunction):
     """Samples of a scaling function on the grid k * N^-level.
 
     The samples cover the support [0, (L-1)/(N-1)] with step
-    h = N^-level; everything outside is zero.  seed says how the cascade
+    h = N^-level, so start_index is 0.  seed says how the cascade
     started: under the point seed values[k] is phi(k h), under the box
     seed it is the cell value on [k h, (k+1) h) of the piecewise-constant
     iterate.  shift says how far the filter's support was translated to
     start at exponent 0.
     """
 
-    n: int
-    level: int
-    values: np.ndarray
+    start_index: int = field(default=0, init=False)
     lowpass: LaurentPoly
     filter_length: int
     shift: int
@@ -75,10 +100,6 @@ class ScalingFunctionSamples:
     @property
     def support(self) -> tuple[float, float]:
         return (0.0, (self.filter_length - 1) / (self.n - 1))
-
-    @property
-    def step(self) -> float:
-        return float(self.n) ** (-self.level)
 
     @property
     def integral(self) -> float:
@@ -92,50 +113,55 @@ class ScalingFunctionSamples:
     def converged(self) -> bool:
         return self.last_delta <= CASCADE_CONV_TOL
 
-    def grid(self) -> np.ndarray:
-        return np.arange(len(self.values)) * self.step
-
 
 @dataclass(frozen=True)
-class WaveletSamples:
+class WaveletSamples(GridFunction):
     """Samples of the generators psi_1 .. psi_{N-1} on a common grid.
 
-    Grid step is N^-level with the first sample at start_index * N^-level;
     values has one row per generator.  orthonormal_case records whether the
     source system's low-pass filter both generated the scaling samples and
     satisfies the averaging condition, i.e. whether the generators are
     candidates for an orthonormal family at all.
     """
 
-    n: int
-    level: int
-    start_index: int
-    values: np.ndarray
     orthonormal_case: bool
 
-    @property
-    def step(self) -> float:
-        return float(self.n) ** (-self.level)
 
-    def grid(self) -> np.ndarray:
-        return (self.start_index + np.arange(self.values.shape[1])) * self.step
+def _translate_sum(v: np.ndarray, starts, weights, out: np.ndarray | None = None) -> np.ndarray:
+    """sum_j weights[j] v[. - starts[j]] for starts >= 0, added in order into
+    out, or into zeros of the natural length max(starts) + len(v)."""
+    if out is None:
+        out = np.zeros(max(starts, default=0) + len(v), dtype=complex)
+    for s, w in zip(starts, weights):
+        # 2^15 samples at a time, so that the temporary w * v stays at 512 kB
+        for lo in range(0, len(v), 1 << 15):
+            block = v[lo : lo + (1 << 15)]
+            out[s + lo : s + lo + len(block)] += w * block
+    return out
 
 
-@dataclass(frozen=True)
-class GridFunction:
-    """A finitely supported function sampled on the lattice k * n^-level."""
+def _filter_sum(v: np.ndarray, f: LaurentPoly, n: int, stride: int, out: np.ndarray | None = None) -> np.ndarray:
+    """One refinement step N sum_t f_t v[. - t stride], indexed from f's lowest tap."""
+    taps = f.support()
+    return _translate_sum(v, [(t - f.valuation) * stride for t in taps], [n * f.coeff(t) for t in taps], out)
 
-    n: int
-    level: int
-    start_index: int
-    values: np.ndarray
 
-    @property
-    def step(self) -> float:
-        return float(self.n) ** (-self.level)
+def _refinement_defect(phi: ScalingFunctionSamples, a: LaurentPoly) -> GridFunction:
+    """D[m] = fine[m] - N sum_t a_t coarse[m - t N^(level-1)] on phi's grid.
 
-    def grid(self) -> np.ndarray:
-        return (self.start_index + np.arange(len(self.values))) * self.step
+    fine = phi.values and coarse = fine[::N] are zero off their samples; D
+    covers the union of both supports.
+    """
+    n, fine = phi.n, phi.values
+    step = n ** (phi.level - 1)
+    coarse = fine[::n]
+    lo = min(0, a.valuation * step)
+    defect = np.zeros(max(a.degree * step + len(coarse), len(fine)) - lo, dtype=complex)
+    # -refined + fine is fine - refined exactly, and needs no second buffer
+    _filter_sum(coarse, a, n, step, out=defect[a.valuation * step - lo :])
+    np.negative(defect, out=defect)
+    defect[-lo : len(fine) - lo] += fine
+    return GridFunction(n, phi.level, lo, defect)
 
 
 def _integer_point_values(a: np.ndarray, n: int, size: int) -> np.ndarray | None:
@@ -183,12 +209,9 @@ def cascade(m0: LaurentPoly, n: int, level: int, tol: float = 1e-10) -> ScalingF
     if m0.is_zero:
         raise ValueError("m_0 must be nonzero")
 
-    shift = m0.valuation
-    a = np.asarray(LaurentPoly(0, m0.coeffs).coeffs, dtype=complex)
-    length = len(a)
-    sup_end = (length - 1) / (n - 1)
-
-    size = math.floor(sup_end) + 1
+    lowpass = LaurentPoly(0, m0.coeffs)
+    a = np.asarray(lowpass.coeffs, dtype=complex)
+    size = (len(a) - 1) // (n - 1) + 1
     phi = _integer_point_values(a, n, size)
     seed = "point"
     if phi is None:
@@ -197,22 +220,15 @@ def cascade(m0: LaurentPoly, n: int, level: int, tol: float = 1e-10) -> ScalingF
         seed = "box"
     deltas: list[float] = []
     for t in range(level):
-        stride = n**t
-        new_size = math.floor(sup_end * n ** (t + 1)) + 1
-        nxt = np.zeros(new_size, dtype=complex)
-        for k in range(length):
-            lo = k * stride
-            if lo >= new_size:
-                continue
-            cnt = min(new_size - lo, len(phi))
-            nxt[lo : lo + cnt] += n * a[k] * phi[:cnt]
+        # (L-1) N^t + len(phi) samples: the support grid refined once
+        nxt = _filter_sum(phi, lowpass, n, n**t)
         peak = float(np.max(np.abs(nxt)))
         if peak > DIVERGENCE_GUARD:
             raise RuntimeError(f"cascade diverged: sup |phi| = {peak:.3e} at iteration {t + 1}")
         if seed == "point":
             delta = np.max(np.abs(nxt[::n] - phi))
         else:
-            delta = np.max(np.abs(nxt - np.repeat(phi, n)[:new_size]))
+            delta = np.max(np.abs(nxt - np.repeat(phi, n)[: len(nxt)]))
         deltas.append(float(delta))
         phi = nxt
     phi.setflags(write=False)
@@ -220,9 +236,9 @@ def cascade(m0: LaurentPoly, n: int, level: int, tol: float = 1e-10) -> ScalingF
         n=n,
         level=level,
         values=phi,
-        lowpass=LaurentPoly(0, m0.coeffs),
-        filter_length=length,
-        shift=shift,
+        lowpass=lowpass,
+        filter_length=len(a),
+        shift=m0.valuation,
         deltas=tuple(deltas),
         seed=seed,
     )
@@ -238,16 +254,7 @@ def refinement_residual(phi: ScalingFunctionSamples) -> float:
     """
     if phi.level < 1:
         raise ValueError("refinement residual needs at least one cascade level")
-    n = phi.n
-    stride = n**phi.level
-    vals = phi.values
-    rhs = np.zeros_like(vals)
-    a = phi.lowpass
-    for k in a.support():
-        idx = np.arange(len(vals)) * n - k * stride
-        valid = (idx >= 0) & (idx < len(vals))
-        rhs[valid] += n * a.coeff(k) * vals[idx[valid]]
-    return float(np.max(np.abs(rhs - vals)))
+    return float(np.max(np.abs(_refinement_defect(phi, phi.lowpass).values)))
 
 
 def wavelets(system: FilterSystem, phi: ScalingFunctionSamples) -> WaveletSamples:
@@ -266,13 +273,10 @@ def wavelets(system: FilterSystem, phi: ScalingFunctionSamples) -> WaveletSample
     if any(g.is_zero for g in gens):
         raise ValueError("generator filters must be nonzero")
     start = min(g.valuation for g in gens) * stride
-    end = max(g.degree for g in gens) * stride + len(phi.values) - 1
-    values = np.zeros((n - 1, end - start + 1), dtype=complex)
+    end = max(g.degree for g in gens) * stride + len(phi.values)
+    values = np.zeros((n - 1, end - start), dtype=complex)
     for i, g in enumerate(gens):
-        for k in g.support():
-            lo = k * stride - start
-            cnt = min(values.shape[1] - lo, len(phi.values))
-            values[i, lo : lo + cnt] += n * g.coeff(k) * phi.values[:cnt]
+        _filter_sum(phi.values, g, n, stride, out=values[i, g.valuation * stride - start :])
     values.setflags(write=False)
     shifted_m0 = LaurentPoly(0, system.filters[0].coeffs)
     orthonormal = low_pass_check(system.filters[0]) and shifted_m0.allclose(phi.lowpass, 1e-12)
@@ -285,31 +289,14 @@ def wavelets(system: FilterSystem, phi: ScalingFunctionSamples) -> WaveletSample
     )
 
 
-def synthesize_W(xi: Mapping[int, complex], phi: ScalingFunctionSamples) -> GridFunction:
+def synthesize_W(xi: Mapping[int, complex], phi: GridFunction) -> GridFunction:
     """Samples of (W xi)(x) = sum_k xi_k phi(x - k) on phi's grid."""
     if not xi:
         return GridFunction(phi.n, phi.level, 0, np.zeros(1, dtype=complex))
     stride = phi.n**phi.level
-    k_min = min(xi)
-    k_max = max(xi)
-    values = np.zeros((k_max - k_min) * stride + len(phi.values), dtype=complex)
-    for k in sorted(xi):
-        lo = (k - k_min) * stride
-        values[lo : lo + len(phi.values)] += complex(xi[k]) * phi.values
-    return GridFunction(phi.n, phi.level, k_min * stride, values)
-
-
-def shift_down(system: FilterSystem, xi: Mapping[int, complex]) -> dict[int, complex]:
-    """The low-pass isometry on sequences: (S_0 xi)_p = sqrt(N) sum_k a_{p-Nk} xi_k."""
-    n = system.n
-    a = system.filters[0]
-    root = math.sqrt(n)
-    out: dict[int, complex] = {}
-    for k, c in xi.items():
-        for t in a.support():
-            p = n * k + t
-            out[p] = out.get(p, 0.0) + root * a.coeff(t) * complex(c)
-    return {p: v for p, v in out.items() if v != 0}
+    keys = sorted(xi)
+    values = _translate_sum(phi.values, [(k - keys[0]) * stride for k in keys], [complex(xi[k]) for k in keys])
+    return GridFunction(phi.n, phi.level, phi.start_index + keys[0] * stride, values)
 
 
 def check_intertwine(
@@ -317,37 +304,25 @@ def check_intertwine(
 ) -> float:
     """Grid sup-norm of U_N(W xi) - W(S_0 xi), U_N f(x) = N^{-1/2} f(x/N).
 
-    The dilated side lives on the once-coarsened grid, so the comparison
-    runs over the coarse lattice covering both supports.  The residual is
-    bounded by the refinement defect of the sample array: rounding-level
-    for point-seeded samples (exact values of phi at the grid points) and
-    for an exactly refinable box, and of the order of the last cascade
-    increment for a box-seeded cascade that has not reached its fixed point
-    (callers should check phi.converged).
+    With (S_0 xi)_p = sqrt(N) sum_k a_{p-Nk} xi_k for the system's m_0, phi
+    sampled as fine[j] at j N^-level and coarse = fine[::N], the two sides
+    differ at the coarse lattice point q by exactly
+        N^{-1/2} sum_k xi_k D[q - k N^level],
+        D[m] = fine[m] - N sum_t a_t coarse[m - t N^(level-1)],
+    the refinement defect of the samples against m_0, so D is computed once
+    and synthesized by xi.  The residual is rounding-level for point-seeded
+    samples of m_0's own phi and for an exactly refinable box, of the order
+    of the last cascade increment for a box-seeded cascade short of its
+    fixed point (callers should check phi.converged), and O(1) for samples
+    refined from another filter.
     """
     if system.n != phi.n:
         raise ValueError("grid incompatibility between system and samples")
     if phi.level < 1:
         raise ValueError("intertwining check needs at least one cascade level")
-    if not xi:
-        return 0.0
-    n = system.n
-    stride = n**phi.level
-    fine = phi.values
-    # On the coarse lattice q, with phi sampled at j N^-level:
-    #   U_N(W xi)(q) = N^-1/2 sum_k xi_k fine[q - k N^level],
-    #   W(S_0 xi)(q) = sum_p (S_0 xi)_p fine[N q - p N^level]
-    #                = sum_p (S_0 xi)_p coarse[q - p N^(level-1)],
-    # with coarse = fine[::N]; both sides go into one buffer.
-    coarse = np.ascontiguousarray(fine[::n])
-    root = math.sqrt(n)
-    terms = [(k * stride, complex(c) / root, fine) for k, c in sorted(xi.items())]
-    terms += [(p * (stride // n), -complex(c), coarse) for p, c in sorted(shift_down(system, xi).items())]
-    lo = min(start for start, _, _ in terms)
-    diff = np.zeros(max(start + len(v) for start, _, v in terms) - lo, dtype=complex)
-    for start, c, v in terms:
-        diff[start - lo : start - lo + len(v)] += c * v
-    return float(np.max(np.abs(diff)))
+    root = math.sqrt(system.n)
+    diff = synthesize_W({k: complex(c) / root for k, c in xi.items()}, _refinement_defect(phi, system.filters[0]))
+    return float(np.max(np.abs(diff.values, out=diff.values).real))  # in place, sparing a second buffer
 
 
 def orthonormality_check(phi: ScalingFunctionSamples, k_range: int) -> float:

@@ -6,14 +6,17 @@ search is exhaustive, the commutant is read off the band-truncated
 commutation constraints, loop algebra is entrywise np.convolve on the
 coefficient arrays read out of LaurentPoly entries, the Cuntz relations are
 full dense matrix products, the intertwining identity is synthesized
-on the whole fine grid, and the corner witness is re-checked with one
-LaurentPoly subtraction per component.  They exist to cross-check the
-production implementations, so keep them dumb.
+on the whole fine grid, the cascade, generator and synthesis samples are
+summed one clipped slice per filter tap or sequence entry, and the corner
+witness is re-checked with one LaurentPoly subtraction per component.
+They exist to cross-check the production implementations, so keep them
+dumb.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import scipy.linalg
@@ -373,23 +376,13 @@ def dense_intertwine_residual(system: FilterSystem, phi, xi: dict) -> float:
     the second at every N-th sample: U_N(W xi)(q) = N^-1/2 (W xi)[q] and
     W(S_0 xi)(q) = (W S_0 xi)[N q]."""
     n = phi.n
-    stride = n**phi.level
-    vals = phi.values
-
-    def synthesize(seq):
-        k_min = min(seq)
-        out = np.zeros((max(seq) - k_min) * stride + len(vals), dtype=complex)
-        for k, c in seq.items():
-            out[(k - k_min) * stride : (k - k_min) * stride + len(vals)] += c * vals
-        return k_min * stride, out
-
     a = system.filters[0]
     down: dict[int, complex] = {}
     for k, c in xi.items():
         for t in a.support():
             down[n * k + t] = down.get(n * k + t, 0.0) + np.sqrt(n) * a.coeff(t) * c
-    lhs_start, lhs = synthesize(xi)
-    rhs_start, rhs = synthesize(down)
+    lhs_start, lhs = loop_synthesis(xi, phi)
+    rhs_start, rhs = loop_synthesis(down, phi)
     q = np.arange(min(lhs_start, -(-rhs_start // n)), max(lhs_start + len(lhs), (rhs_start + len(rhs) - 1) // n + 1))
     left = np.zeros(len(q), dtype=complex)
     ok = (q >= lhs_start) & (q < lhs_start + len(lhs))
@@ -399,3 +392,79 @@ def dense_intertwine_residual(system: FilterSystem, phi, xi: dict) -> float:
     ok = (fine >= 0) & (fine < len(rhs))
     right[ok] = rhs[fine[ok]]
     return float(np.max(np.abs(left - right)))
+
+
+# -- Cascade, generators and synthesis, one slice per term ---------------------
+
+
+def loop_cascade(m0: LaurentPoly, n: int, seed: np.ndarray, point: bool, level: int):
+    """The iterates phi_1 .. phi_level from the level-0 samples ``seed`` and
+    their increments (at the coarse points when ``point``, else against the
+    repeated cells).  Each step adds N a_k phi[:cnt] at offset k N^t into a
+    zeroed array of floor(N^(t+1) (L-1)/(N-1)) + 1 samples, k ascending,
+    clipped at its end."""
+    a = np.asarray(LaurentPoly(0, m0.coeffs).coeffs, dtype=complex)
+    sup_end = (len(a) - 1) / (n - 1)
+    phi = seed
+    iterates, deltas = [], []
+    for t in range(level):
+        stride = n**t
+        new_size = math.floor(sup_end * n ** (t + 1)) + 1
+        nxt = np.zeros(new_size, dtype=complex)
+        for k in range(len(a)):
+            lo = k * stride
+            if lo >= new_size:
+                continue
+            cnt = min(new_size - lo, len(phi))
+            nxt[lo : lo + cnt] += n * a[k] * phi[:cnt]
+        if point:
+            deltas.append(float(np.max(np.abs(nxt[::n] - phi))))
+        else:
+            deltas.append(float(np.max(np.abs(nxt - np.repeat(phi, n)[:new_size]))))
+        iterates.append(nxt)
+        phi = nxt
+    return iterates, tuple(deltas)
+
+
+def gather_refinement_residual(phi) -> float:
+    """max_m |N sum_k a_k values[m N - k N^level] - values[m]|, the right-hand
+    side gathered by index arrays over the stored samples only."""
+    n = phi.n
+    stride = n**phi.level
+    vals = phi.values
+    rhs = np.zeros_like(vals)
+    for k in phi.lowpass.support():
+        idx = np.arange(len(vals)) * n - k * stride
+        valid = (idx >= 0) & (idx < len(vals))
+        rhs[valid] += n * phi.lowpass.coeff(k) * vals[idx[valid]]
+    return float(np.max(np.abs(rhs - vals)))
+
+
+def loop_wavelets(system: FilterSystem, phi) -> tuple[int, np.ndarray]:
+    """(start index, rows) of psi_i = N sum_k b_k phi(N x - k): each row sums
+    N b_k phi over the window from min valuation to max degree of the
+    generators, tap by tap, clipped at the window's end."""
+    n = system.n
+    stride = n**phi.level
+    gens = system.filters[1:]
+    start = min(g.valuation for g in gens) * stride
+    end = max(g.degree for g in gens) * stride + len(phi.values) - 1
+    values = np.zeros((n - 1, end - start + 1), dtype=complex)
+    for i, g in enumerate(gens):
+        for k in g.support():
+            lo = k * stride - start
+            cnt = min(values.shape[1] - lo, len(phi.values))
+            values[i, lo : lo + cnt] += n * g.coeff(k) * phi.values[:cnt]
+    return start, values
+
+
+def loop_synthesis(xi: dict, phi) -> tuple[int, np.ndarray]:
+    """(start index, samples) of sum_k xi_k phi(x - k), one slice-add per key
+    in ascending order, on phi's grid."""
+    stride = phi.n**phi.level
+    k_min = min(xi)
+    values = np.zeros((max(xi) - k_min) * stride + len(phi.values), dtype=complex)
+    for k in sorted(xi):
+        lo = (k - k_min) * stride
+        values[lo : lo + len(phi.values)] += complex(xi[k]) * phi.values
+    return k_min * stride, values

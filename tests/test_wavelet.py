@@ -3,11 +3,16 @@ import math
 import numpy as np
 import pytest
 
+import loopwave
 from loopwave import (
     FilterSystem,
+    GridFunction,
     LaurentPoly,
+    ScalingFunctionSamples,
+    WaveletSamples,
     base_system,
     cascade,
+    certify,
     check_intertwine,
     complete,
     daubechies4_system,
@@ -17,10 +22,16 @@ from loopwave import (
     synthesize_W,
     wavelets,
 )
-from loopwave.wavelet import refinement_residual, shift_down
+from loopwave.wavelet import refinement_residual
 
 from conftest import seeded_lowpass_system
-from helpers import dense_intertwine_residual
+from helpers import (
+    dense_intertwine_residual,
+    gather_refinement_residual,
+    loop_cascade,
+    loop_synthesis,
+    loop_wavelets,
+)
 
 ROOT2 = math.sqrt(2.0)
 
@@ -177,8 +188,7 @@ class TestIntertwine:
     def test_haar_delta_values_by_hand(self, haar):
         # both sides are (1/sqrt2) * indicator of [0, 2)
         phi = cascade(haar.filters[0], 2, 4)
-        eta = shift_down(haar, {0: 1.0})
-        assert eta == {0: pytest.approx(1 / ROOT2), 1: pytest.approx(1 / ROOT2)}
+        eta = {0: 1 / ROOT2, 1: 1 / ROOT2}  # S_0 delta_0
         rhs = synthesize_W(eta, phi)
         expected = np.zeros(len(rhs.values))
         expected[: 2 * 2**4] = 1 / ROOT2
@@ -218,19 +228,40 @@ def _spread_box_system():
     return complete(m0, 2)
 
 
+def _shifted(make, power):
+    def build():
+        system = make()
+        return certify(FilterSystem(system.n, [f * LaurentPoly.monomial(power) for f in system.filters]))
+
+    return build
+
+
+def _n3_lowpass():
+    return seeded_lowpass_system(3, 2, 4)
+
+
+#: name -> (system, filter that phi is cascaded from (None: the system's
+#: own m_0), level, seed, converged)
 INTERTWINE_CASES = {
-    "haar": (haar_system, 6, "box", True),
-    "d4": (daubechies4_system, 12, "point", True),
-    "N=3 low-pass": (lambda: seeded_lowpass_system(3, 2, 4), 6, "point", True),
-    "(1+z^3)/2": (_spread_box_system, 8, "box", False),
+    "haar": (haar_system, None, 6, "box", True),
+    "d4": (daubechies4_system, None, 12, "point", True),
+    "N=3 low-pass": (_n3_lowpass, None, 6, "point", True),
+    "(1+z^3)/2": (_spread_box_system, None, 8, "box", False),
+    # a nonzero valuation shifts the defect buffer
+    "d4 z^-3": (_shifted(daubechies4_system, -3), None, 10, "point", True),
+    "N=3 low-pass z^2": (_shifted(_n3_lowpass, 2), None, 6, "point", True),
+    # phi refined from another filter of the same scale: O(1) residual
+    "d4 phi, haar system": (haar_system, daubechies4_system, 10, "point", True),
+    "N=3 phi, other N=3 system": (_n3_lowpass, lambda: seeded_lowpass_system(3, 1, 9), 6, "point", True),
 }
 
 
 @pytest.mark.parametrize("case", INTERTWINE_CASES)
 def test_intertwine_matches_full_grid_synthesis(case):
-    make, level, seed, converged = INTERTWINE_CASES[case]
+    make, make_source, level, seed, converged = INTERTWINE_CASES[case]
     system = make()
-    phi = cascade(system.filters[0], system.n, level)
+    source = system if make_source is None else make_source()
+    phi = cascade(source.filters[0], system.n, level)
     assert phi.seed == seed and phi.converged == converged
     rng = np.random.default_rng(5)
     sequences = [
@@ -239,7 +270,76 @@ def test_intertwine_matches_full_grid_synthesis(case):
         {k: complex(rng.standard_normal(), rng.standard_normal()) for k in range(-3, 4)},
     ]
     for xi in sequences:
-        assert abs(check_intertwine(system, phi, xi) - dense_intertwine_residual(system, phi, xi)) <= 1e-14
+        residual = check_intertwine(system, phi, xi)
+        assert abs(residual - dense_intertwine_residual(system, phi, xi)) <= 1e-14
+        if make_source is not None:
+            assert residual >= 1e-2
+
+
+def _box3_system():
+    w = np.exp(2j * np.pi / 3)
+    return certify(FilterSystem(3, [LaurentPoly(0, tuple(w ** (i * j) / 3 for j in range(3))) for i in range(3)]))
+
+
+def _complex_generator_system():
+    return certify(FilterSystem(2, [LaurentPoly(0, (0.5, 0.5)), LaurentPoly(0, (0.5j, -0.5j))]))
+
+
+#: name -> (system, deepest level, seed) for the per-term loop oracles
+ORACLE_SYSTEMS = {
+    "haar": (haar_system, 8, "box"),
+    "d4": (daubechies4_system, 16, "point"),  # several 2^15-sample blocks
+    "N=3 box": (_box3_system, 4, "box"),
+    "(1+z^3)/2": (_spread_box_system, 8, "box"),
+    "N=3 low-pass": (_n3_lowpass, 5, "point"),
+    "N=4 low-pass": (lambda: seeded_lowpass_system(4, 2, 7), 4, "point"),
+    "complex generator": (_complex_generator_system, 6, "box"),
+    "d4 z^-3": (_shifted(daubechies4_system, -3), 8, "point"),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_SYSTEMS)
+class TestLoopOracles:
+    """Bit-for-bit agreement with the per-term loops in tests/helpers.py."""
+
+    def test_cascade_values_and_deltas(self, case):
+        make, level, seed = ORACLE_SYSTEMS[case]
+        system = make()
+        m0, n = system.filters[0], system.n
+        start = cascade(m0, n, 0)
+        assert start.seed == seed
+        iterates, deltas = loop_cascade(m0, n, start.values, seed == "point", level)
+        for t in range(1, level + 1):
+            phi = cascade(m0, n, t)
+            assert phi.seed == seed
+            assert np.array_equal(phi.values, iterates[t - 1])
+            assert phi.deltas == deltas[:t]
+
+    def test_refinement_residual(self, case):
+        make, level, _ = ORACLE_SYSTEMS[case]
+        system = make()
+        for t in range(1, level + 1):
+            phi = cascade(system.filters[0], system.n, t)
+            assert refinement_residual(phi) == gather_refinement_residual(phi)
+
+    def test_wavelets(self, case):
+        make, level, _ = ORACLE_SYSTEMS[case]
+        system = make()
+        phi = cascade(system.filters[0], system.n, level)
+        psi = wavelets(system, phi)
+        start, values = loop_wavelets(system, phi)
+        assert psi.start_index == start
+        assert np.array_equal(psi.values, values)
+
+    def test_synthesize_W(self, case):
+        make, level, _ = ORACLE_SYSTEMS[case]
+        system = make()
+        phi = cascade(system.filters[0], system.n, level)
+        xi = {-5: 0.3, -1: 2.0 - 1j, 2: 0.0, 6: 1e-3j}  # gaps, negative keys
+        w = synthesize_W(xi, phi)
+        start, values = loop_synthesis(xi, phi)
+        assert w.start_index == start
+        assert np.array_equal(w.values, values)
 
 
 class TestOrthonormality:
@@ -254,3 +354,88 @@ class TestOrthonormality:
     def test_d4(self, d4):
         phi = cascade(d4.filters[0], 2, 10)
         assert orthonormality_check(phi, 4) <= 1e-3
+
+
+PUBLIC_NAMES = [
+    "LaurentPoly",
+    "MatrixLaurent",
+    "FilterSystem",
+    "Loop",
+    "act",
+    "base_system",
+    "certify_loop",
+    "filters_to_loop",
+    "loop_to_filters",
+    "random_paraunitary",
+    "transition",
+    "QmfReport",
+    "SampledSystem",
+    "certify",
+    "complete",
+    "low_pass_check",
+    "verify_measure_invariance",
+    "verify_qmf",
+    "verify_scalar_qmf",
+    "Band",
+    "CuntzReport",
+    "TruncatedRep",
+    "adjoint_apply",
+    "build_rep",
+    "commutant_diagnostic",
+    "reconstruct",
+    "transition_operator_matrix",
+    "verify_cuntz",
+    "CornerWitness",
+    "Verdict",
+    "classify",
+    "detect_corner",
+    "equivalent",
+    "graded_kernels",
+    "GridFunction",
+    "ScalingFunctionSamples",
+    "WaveletSamples",
+    "cascade",
+    "check_intertwine",
+    "orthonormality_check",
+    "synthesize_W",
+    "wavelets",
+    "daubechies4_lowpass",
+    "daubechies4_system",
+    "haar_system",
+    "stretched_box_lowpass",
+    "__version__",
+]
+
+
+class TestPublicSurface:
+    def test_package_names(self):
+        assert loopwave.__all__ == PUBLIC_NAMES
+
+    def test_sample_attributes(self, d4):
+        phi = cascade(d4.filters[0], 2, 3)
+        psi = wavelets(d4, phi)
+        w = synthesize_W({-1: 1.0, 2: 0.5}, phi)
+        for samples, level in ((phi, 3), (psi, 4), (w, 3)):
+            assert (samples.n, samples.level, samples.step) == (2, level, 2.0**-level)
+            grid = samples.grid()
+            assert len(grid) == samples.values.shape[-1]
+            assert grid[0] == samples.start_index * samples.step
+        assert phi.start_index == 0
+        assert w.start_index == -(2**3)
+        assert phi.lowpass == d4.filters[0] and phi.filter_length == 4 and phi.shift == 0
+        assert len(phi.deltas) == 3 and phi.seed == "point"
+        assert phi.normalization.startswith("refinement phi(x)")
+        assert phi.support == (0.0, 3.0)
+        assert phi.integral == pytest.approx(1.0, abs=1e-12)
+        assert phi.last_delta == phi.deltas[-1] and phi.converged
+        assert psi.orthonormal_case
+
+    def test_keyword_construction(self, haar):
+        values = np.ones(3, dtype=complex)
+        phi = ScalingFunctionSamples(
+            n=2, level=1, values=values, lowpass=haar.filters[0], filter_length=2, shift=0, deltas=(0.0,), seed="box"
+        )
+        assert phi.start_index == 0 and phi.integral == 1.5
+        psi = WaveletSamples(n=2, level=2, start_index=-1, values=values[None, :], orthonormal_case=False)
+        assert list(psi.grid()) == [-0.25, 0.0, 0.25]
+        assert list(GridFunction(2, 1, 1, values).grid()) == [0.5, 1.0, 1.5]
