@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .laurent import MatrixLaurent
+from .laurent import MatrixLaurent, stack
 from .loopgroup import FilterSystem, polyphase_matrix
 
 
@@ -61,11 +61,10 @@ class TruncatedRep:
 
 
 def _filter_support(system: FilterSystem) -> tuple[int, int]:
-    vals = [f.valuation for f in system.filters if not f.is_zero]
-    degs = [f.degree for f in system.filters if not f.is_zero]
-    if not vals:
+    t_min, c = stack(system.filters)
+    if len(c) == 0:
         raise ValueError("filter system is identically zero")
-    return min(vals), max(degs)
+    return t_min, t_min + len(c) - 1
 
 
 def attractor_band(system: FilterSystem) -> Band:
@@ -90,12 +89,10 @@ def build_rep(system: FilterSystem, in_band: Band) -> TruncatedRep:
     n = system.n
     t_min, t_max = _filter_support(system)
     out_band = Band(n * in_band.k_min + t_min, n * in_band.k_max + t_max)
-    coeffs = np.zeros((n, t_max - t_min + 1), dtype=complex)
-    for i, f in enumerate(system.filters):
-        coeffs[i, f.offset - t_min : f.offset - t_min + len(f.coeffs)] = f.coeffs
-    rows = _window_rows(n, in_band, t_min, coeffs.shape[1], out_band.k_min)
+    _, coeffs = stack(system.filters)
+    rows = _window_rows(n, in_band, t_min, len(coeffs), out_band.k_min)
     s = np.zeros((n, out_band.size, in_band.size), dtype=complex)
-    s[:, rows, np.arange(in_band.size)] = math.sqrt(n) * coeffs[:, :, None]
+    s[:, rows, np.arange(in_band.size)] = math.sqrt(n) * coeffs.T[:, :, None]
     s.setflags(write=False)
     return TruncatedRep(system=system, in_band=in_band, out_band=out_band, S=tuple(s))
 

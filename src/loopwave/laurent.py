@@ -2,11 +2,13 @@
 
 Coefficients are stored densely over the support interval, starting at
 ``offset`` (the lowest exponent); a matrix of them stores one (L, n, n)
-coefficient tensor, lag l holding the coefficient matrix of z^(lo + l).  All values are immutable after
-construction; arithmetic is exact coefficient arithmetic in double
-precision.  The circle adjoint ``star`` satisfies star(p)(z) = conj(p(z))
-for |z| = 1, which is what makes paraunitarity a finite coefficient-level
-identity rather than a sampling statement.
+coefficient tensor, lag l holding the coefficient matrix of z^(lo + l).
+``stack`` and ``unstack`` are the only conversions between polynomials and
+such arrays, and ``_horner`` evaluates either form.  All values are
+immutable after construction; arithmetic is exact coefficient arithmetic in
+double precision.  The circle adjoint ``star`` satisfies
+star(p)(z) = conj(p(z)) for |z| = 1, which is what makes paraunitarity a
+finite coefficient-level identity rather than a sampling statement.
 """
 
 from __future__ import annotations
@@ -111,19 +113,8 @@ class LaurentPoly:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: LaurentPoly | complex) -> LaurentPoly:
-        other = _coerce(other)
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        lo = min(self.offset, other.offset)
-        hi = max(self.degree, other.degree)
-        out = [0.0 + 0.0j] * (hi - lo + 1)
-        for i, c in enumerate(self.coeffs):
-            out[self.offset + i - lo] += c
-        for i, c in enumerate(other.coeffs):
-            out[other.offset + i - lo] += c
-        return LaurentPoly(lo, out)
+        lo, c = stack((self, _coerce(other)))
+        return LaurentPoly(lo, c.sum(axis=1).tolist())
 
     def __radd__(self, other: complex) -> LaurentPoly:
         return self + other
@@ -167,9 +158,8 @@ class LaurentPoly:
             raise ValueError(f"compose_power requires n >= 2, got {n}")
         if self.is_zero:
             return self
-        out = [0.0 + 0.0j] * ((len(self.coeffs) - 1) * n + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * n] = c
+        out = [0j] * ((len(self.coeffs) - 1) * n + 1)
+        out[::n] = self.coeffs
         return LaurentPoly(self.offset * n, out)
 
     def __call__(self, z: complex) -> complex:
@@ -177,12 +167,7 @@ class LaurentPoly:
         z = complex(z)
         if abs(abs(z) - 1.0) > UNIT_CIRCLE_TOL:
             raise ValueError(f"evaluation point must lie on the unit circle, |z| = {abs(z)!r}")
-        if self.is_zero:
-            return 0.0 + 0.0j
-        acc = 0.0 + 0.0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc * z**self.offset
+        return _horner(self.offset, self.coeffs, z)
 
     # -- comparisons -------------------------------------------------------
 
@@ -216,6 +201,42 @@ def _coerce(x: LaurentPoly | complex) -> LaurentPoly:
     if isinstance(x, LaurentPoly):
         return x
     return LaurentPoly.constant(x)
+
+
+def stack(polys: Sequence[LaurentPoly]) -> tuple[int, np.ndarray]:
+    """(lo, C) with C[l, i] the coefficient of z^(lo + l) in polys[i].
+
+    lo is the lowest exponent of any of them and C, of shape (L, len(polys)),
+    spans up to the highest; it has no lags, and lo = 0, when every
+    polynomial is zero.
+    """
+    live = [p for p in polys if not p.is_zero]
+    lo = min((p.offset for p in live), default=0)
+    length = max((p.degree for p in live), default=lo - 1) - lo + 1
+    out = np.zeros((length, len(polys)), dtype=complex)
+    for i, p in enumerate(polys):
+        out[p.offset - lo : p.offset - lo + len(p.coeffs), i] = p.coeffs
+    return lo, out
+
+
+def unstack(lo: int, c: np.ndarray) -> list[LaurentPoly]:
+    """Inverse of stack: polys[i] = sum_l C[l, i] z^(lo + l), each trimmed."""
+    return [LaurentPoly(lo, col.tolist()) for col in c.T]
+
+
+def _horner(lo: int, c: tuple[complex, ...] | np.ndarray, z: complex | np.ndarray):
+    """sum_l c[l] z^(lo + l) by Horner's rule from the top lag.
+
+    c is a tuple of numbers, summed in Python complex arithmetic, or an
+    (L, ...) array whose trailing axes broadcast against z, summed in numpy
+    and shaped like one term even when there are no lags.
+    """
+    acc = 0j
+    if isinstance(c, np.ndarray):
+        acc = np.zeros(np.broadcast_shapes(c.shape[1:], np.shape(z)), dtype=complex)
+    for coef in c[::-1]:
+        acc = acc * z + coef
+    return acc * z**lo
 
 
 class ParaunitaryResult(NamedTuple):
@@ -298,14 +319,8 @@ class MatrixLaurent:
             for p in row:
                 if not isinstance(p, LaurentPoly):
                     raise TypeError("matrix entries must be LaurentPoly")
-        live = [p for row in rows for p in row if not p.is_zero]
-        lo = min((p.valuation for p in live), default=0)
-        length = max((p.degree for p in live), default=lo - 1) - lo + 1
-        tensor = np.zeros((length, n, n), dtype=complex)
-        for i, row in enumerate(rows):
-            for j, p in enumerate(row):
-                tensor[p.offset - lo : p.offset - lo + len(p.coeffs), i, j] = p.coeffs
-        self._init(n, lo, tensor, rows)
+        lo, c = stack([p for row in rows for p in row])
+        self._init(n, lo, c.reshape(len(c), n, n), rows)
 
     def _init(self, n: int, lo: int, tensor: np.ndarray, entries=None) -> None:
         tensor.setflags(write=False)
@@ -364,11 +379,8 @@ class MatrixLaurent:
     def entries(self) -> tuple[tuple[LaurentPoly, ...], ...]:
         """The matrix as a grid of trimmed LaurentPoly, built once."""
         if self._entries is None:
-            c = self.tensor
-            rows = tuple(
-                tuple(LaurentPoly(self.lo, c[:, i, j].tolist()) for j in range(self.n))
-                for i in range(self.n)
-            )
+            flat = unstack(self.lo, self.tensor.reshape(len(self.tensor), -1))
+            rows = tuple(tuple(flat[i * self.n : (i + 1) * self.n]) for i in range(self.n))
             object.__setattr__(self, "_entries", rows)
         return self._entries
 
@@ -382,7 +394,8 @@ class MatrixLaurent:
         return self.n == other.n and self.lo == other.lo and np.array_equal(self.tensor, other.tensor)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.lo, self.tensor.tobytes()))
+        # + 0.0 turns -0.0 into 0.0, which __eq__ does not tell apart
+        return hash((self.n, self.lo, (self.tensor + 0.0).tobytes()))
 
     def __repr__(self) -> str:
         return f"MatrixLaurent(n={self.n}, lo={self.lo}, lags={len(self.tensor)})"
@@ -456,17 +469,13 @@ class MatrixLaurent:
         v = np.asarray(v, dtype=complex)
         if v.shape != (self.n,):
             raise ValueError("vector length must match matrix size")
-        values = self.tensor @ v
-        return [LaurentPoly(self.lo, values[:, i].tolist()) for i in range(self.n)]
+        return unstack(self.lo, self.tensor @ v)
 
     def eval(self, z: complex) -> np.ndarray:
         z = complex(z)
         if abs(abs(z) - 1.0) > UNIT_CIRCLE_TOL:
             raise ValueError(f"evaluation point must lie on the unit circle, |z| = {abs(z)!r}")
-        acc = np.zeros((self.n, self.n), dtype=complex)
-        for c in self.tensor[::-1]:
-            acc = acc * z + c
-        return acc * z**self.lo
+        return _horner(self.lo, self.tensor, z)
 
     def distance(self, other: MatrixLaurent) -> float:
         """Max coefficient modulus of self - other, each entry end-trimmed."""

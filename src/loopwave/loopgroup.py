@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .laurent import LaurentPoly, MatrixLaurent
+from .laurent import LaurentPoly, MatrixLaurent, stack, unstack
 
 #: Default tolerance for coefficient-level paraunitarity certification.
 CERTIFY_TOL = 1e-10
@@ -107,27 +107,26 @@ def base_system(n: int) -> FilterSystem:
     return FilterSystem(n, [LaurentPoly.monomial(k, s) for k in range(n)], verified=True)
 
 
-def decimate(polys: Sequence[LaurentPoly], n: int) -> tuple[int, np.ndarray]:
-    """Lag-n decimation of a list of polynomials: (lo, D) with D[l, i, k]
-    the coefficient of z^((lo + l) n + k) in polys[i].
+def decimate(lo: int, c: np.ndarray, n: int) -> tuple[int, np.ndarray]:
+    """Lag-n decimation of stacked polynomials (lo, C), as laurent.stack
+    gives them: (lo', D) with D[l, i, k] the coefficient of
+    z^((lo' + l) n + k) in polynomial i.
 
-    This is the coefficient-level fiber sum; D has shape (L, len(polys), n)
-    and no lags when every polynomial is zero.
+    This is the coefficient-level fiber sum, one pad to whole blocks of n
+    lags and one reshape; D has shape (L', C.shape[1], n) and no lags when
+    C has none.
     """
-    live = [p for p in polys if not p.is_zero]
-    lo = min((p.valuation for p in live), default=0) // n
-    length = max((p.degree // n - lo + 1 for p in live), default=0)
-    flat = np.zeros((len(polys), length * n), dtype=complex)
-    for i, p in enumerate(polys):
-        flat[i, p.offset - lo * n : p.offset - lo * n + len(p.coeffs)] = p.coeffs
-    return lo, flat.reshape(len(polys), length, n).transpose(1, 0, 2)
+    head = lo % n
+    blocks = -(-(head + len(c)) // n)
+    padded = np.zeros((blocks * n, c.shape[1]), dtype=complex)
+    padded[head : head + len(c)] = c
+    return lo // n, padded.reshape(blocks, n, c.shape[1]).transpose(0, 2, 1)
 
 
 def interleave(mat: MatrixLaurent) -> list[LaurentPoly]:
     """Inverse of the polyphase map: m_i(z) = N^{-1/2} sum_j A_{i,j}(z^N) z^j."""
     n = mat.n
-    flat = mat.tensor.transpose(1, 0, 2).reshape(n, -1) * (1.0 / math.sqrt(n))
-    return [LaurentPoly(mat.lo * n, row.tolist()) for row in flat]
+    return unstack(mat.lo * n, mat.tensor.transpose(0, 2, 1).reshape(-1, n) * (1.0 / math.sqrt(n)))
 
 
 def loop_to_filters(loop: Loop) -> FilterSystem:
@@ -143,7 +142,7 @@ def polyphase_matrix(system: FilterSystem) -> MatrixLaurent:
     Its paraunitarity is exactly the QMF property of the input; callers
     that need the residual run the certificate themselves, once.
     """
-    lo, d = decimate(system.filters, system.n)
+    lo, d = decimate(*stack(system.filters), system.n)
     return MatrixLaurent.from_tensor(lo, math.sqrt(system.n) * d)
 
 

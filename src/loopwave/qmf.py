@@ -14,11 +14,10 @@ unitary completion for general N.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .laurent import LaurentPoly, lag_adjoint, lag_convolve, unit_grid
+from .laurent import LaurentPoly, _horner, lag_adjoint, lag_convolve, stack, unit_grid
 from .loopgroup import FilterSystem, decimate, polyphase_matrix
 
 #: Default coefficient-level tolerance for the exact QMF certificate.
@@ -63,7 +62,7 @@ def verify_scalar_qmf(m0: LaurentPoly, n: int) -> float:
     """
     if n < 2:
         raise ValueError(f"scale must be >= 2, got {n}")
-    _, row = decimate([m0], n)
+    _, row = decimate(*stack([m0]), n)
     if len(row) == 0:
         return 1.0 / n
     gram = lag_convolve(row, lag_adjoint(row))
@@ -84,15 +83,6 @@ def fiber_representatives(x: complex | np.ndarray, n: int) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     principal = np.exp(1j * np.angle(x) / n) * np.abs(x) ** (1.0 / n)
     return principal[..., None] * np.exp(2j * np.pi * np.arange(n) / n)
-
-
-def _circle_values(polys: Sequence[LaurentPoly], points: np.ndarray) -> np.ndarray:
-    """values[i, t] = polys[i](points[t]), by one Horner pass over all of them."""
-    lo, d = decimate(polys, 1)
-    acc = np.zeros((len(polys), len(points)), dtype=complex)
-    for c in d[::-1, :, 0]:
-        acc = acc * points + c[:, None]
-    return acc * points**lo
 
 
 def _unitarity_defect(m: np.ndarray) -> float:
@@ -127,7 +117,8 @@ def verify_qmf(system: FilterSystem, tol: float = EXACT_TOL, grid_size: int | No
         raise ValueError(f"grid_size must be a positive multiple of {n}")
     _, unitary_residual = polyphase_matrix(system).is_paraunitary(tol)
 
-    values = _circle_values(system.filters, unit_grid(grid_size))
+    lo, c = stack(system.filters)
+    values = _horner(lo, c[:, :, None], unit_grid(grid_size))
     # values[j, k * grid_size / N + t] = m_j(rho^k z_t): fiber matrix t is [:, :, t].
     grid_residual = _unitarity_defect(values.reshape(n, n, grid_size // n).transpose(2, 0, 1))
 
@@ -183,9 +174,11 @@ def _fir2_completion(m0: LaurentPoly) -> LaurentPoly:
     m1 = LaurentPoly(lo, coeffs)
 
     # Phase convention: first nonzero entry of the new row's polyphase
-    # column at z = 1 is made positive real.
+    # column at z = 1 is made positive real.  The column is summed in
+    # Python, lags ascending; np.sum's pairwise order rounds differently.
+    _, d = decimate(*stack([m1]), 2)
     for k in range(2):
-        col = sum(m1.coeff(2 * l + k) for l in range(m1.valuation // 2 - 1, m1.degree // 2 + 2))
+        col = sum(d[:, 0, k].tolist())
         if abs(col) > 1e-12:
             m1 = m1 * (abs(col) / col)
             break
@@ -195,7 +188,8 @@ def _fir2_completion(m0: LaurentPoly) -> LaurentPoly:
 def _grid_completion(m0: LaurentPoly, n: int, grid_size: int) -> SampledSystem:
     base = unit_grid(grid_size)
     reps = fiber_representatives(base, n)
-    row0 = _circle_values([m0], reps.ravel()).reshape(grid_size, n)
+    lo, c = stack([m0])
+    row0 = _horner(lo, c[:, 0], reps)
     # Gram-Schmidt at every base point at once: the canonical basis minus
     # the vector of largest overlap with row 0, in order.
     skip = np.argmax(np.abs(row0), axis=1)

@@ -34,7 +34,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, stack
 from .loopgroup import FilterSystem
 from .qmf import low_pass_check, verify_scalar_qmf
 
@@ -56,7 +56,7 @@ NORMALIZATION_NOTE = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridFunction:
     """A finitely supported function sampled on the lattice k * n^-level.
 
@@ -77,7 +77,7 @@ class GridFunction:
         return (self.start_index + np.arange(self.values.shape[-1])) * self.step
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScalingFunctionSamples(GridFunction):
     """Samples of a scaling function on the grid k * N^-level.
 
@@ -114,7 +114,7 @@ class ScalingFunctionSamples(GridFunction):
         return self.last_delta <= CASCADE_CONV_TOL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WaveletSamples(GridFunction):
     """Samples of the generators psi_1 .. psi_{N-1} on a common grid.
 
@@ -142,8 +142,7 @@ def _translate_sum(v: np.ndarray, starts, weights, out: np.ndarray | None = None
 
 def _filter_sum(v: np.ndarray, f: LaurentPoly, n: int, stride: int, out: np.ndarray | None = None) -> np.ndarray:
     """One refinement step N sum_t f_t v[. - t stride], indexed from f's lowest tap."""
-    taps = f.support()
-    return _translate_sum(v, [(t - f.valuation) * stride for t in taps], [n * f.coeff(t) for t in taps], out)
+    return _translate_sum(v, range(0, len(f.coeffs) * stride, stride), [n * c for c in f.coeffs], out)
 
 
 def _refinement_defect(phi: ScalingFunctionSamples, a: LaurentPoly) -> GridFunction:
@@ -210,7 +209,7 @@ def cascade(m0: LaurentPoly, n: int, level: int, tol: float = 1e-10) -> ScalingF
         raise ValueError("m_0 must be nonzero")
 
     lowpass = LaurentPoly(0, m0.coeffs)
-    a = np.asarray(lowpass.coeffs, dtype=complex)
+    a = stack([lowpass])[1][:, 0]
     size = (len(a) - 1) // (n - 1) + 1
     phi = _integer_point_values(a, n, size)
     seed = "point"

@@ -7,8 +7,10 @@ commutation constraints, loop algebra is entrywise np.convolve on the
 coefficient arrays read out of LaurentPoly entries, the Cuntz relations are
 full dense matrix products, the intertwining identity is synthesized
 on the whole fine grid, the cascade, generator and synthesis samples are
-summed one clipped slice per filter tap or sequence entry, and the corner
-witness is re-checked with one LaurentPoly subtraction per component.
+summed one clipped slice per filter tap or sequence entry, the corner
+witness is re-checked with one LaurentPoly subtraction per component,
+decimation is read one coefficient at a time, and evaluation is a Horner
+loop over Python or numpy values.
 They exist to cross-check the production implementations, so keep them
 dumb.
 """
@@ -111,6 +113,35 @@ def grid_eval(a: tuple[int, np.ndarray], z: complex) -> np.ndarray:
 def poly_eval(p, z: complex) -> complex:
     """p(z) as a plain power sum over its stored coefficients."""
     return sum(c * z ** (p.offset + k) for k, c in enumerate(p.coeffs))
+
+
+def python_horner(p, z: complex) -> complex:
+    """p(z) by Horner's rule in Python complex arithmetic, one stored
+    coefficient at a time from the top, then times z^offset."""
+    acc = 0.0 + 0.0j
+    for c in reversed(p.coeffs):
+        acc = acc * z + c
+    return acc * z**p.offset
+
+
+def numpy_horner(lo: int, c: np.ndarray, z, shape: tuple[int, ...]) -> np.ndarray:
+    """sum_l c[l] z^(lo + l) by Horner's rule in numpy, from a zero
+    accumulator of the given shape."""
+    acc = np.zeros(shape, dtype=complex)
+    for coef in c[::-1]:
+        acc = acc * z + coef
+    return acc * z**lo
+
+
+def coefficient_fibers(polys, n: int) -> dict[tuple[int, int, int], complex]:
+    """{(q, i, k): c} for every stored coefficient c of z^(q n + k) in
+    polys[i], 0 <= k < n, read one coefficient at a time."""
+    out = {}
+    for i, p in enumerate(polys):
+        for e, c in zip(p.support(), p.coeffs):
+            q, k = divmod(e, n)
+            out[q, i, k] = c
+    return out
 
 
 def sampled_paraunitary_residual(mat: MatrixLaurent) -> float:

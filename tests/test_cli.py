@@ -425,12 +425,17 @@ class TestEnvironmentTolerance:
         assert main(["verify", haar_path]) == 2
 
 
+def _env_importing_loopwave() -> dict[str, str]:
+    """The environment with the directory this loopwave came from put
+    first on PYTHONPATH, for a subprocess to import the same package."""
+    src = str(Path(loopwave.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 class TestConsoleScript:
     def test_import_loads_no_scipy(self):
-        src = str(Path(loopwave.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         code = "import sys, loopwave, loopwave.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_env_importing_loopwave())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
@@ -439,6 +444,7 @@ class TestConsoleScript:
             [sys.executable, "-m", "loopwave.cli", "verify", haar_path],
             capture_output=True,
             text=True,
+            env=_env_importing_loopwave(),
         )
         assert proc.returncode == 0
         assert "passed: True" in proc.stdout

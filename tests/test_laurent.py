@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from loopwave.laurent import LaurentPoly, MatrixLaurent, unit_grid
+from loopwave.laurent import LaurentPoly, MatrixLaurent, _horner, stack, unit_grid, unstack
 
 from helpers import (
     coefficient_grid,
@@ -11,6 +11,8 @@ from helpers import (
     grid_eval,
     grid_product,
     grid_star,
+    numpy_horner,
+    python_horner,
     sampled_paraunitary_residual,
 )
 
@@ -93,6 +95,69 @@ class TestEval:
             z = np.exp(2j * np.pi * rng.random())
             assert (p * q)(z) == pytest.approx(p(z) * q(z), abs=1e-10)
             assert (p + q)(z) == pytest.approx(p(z) + q(z), abs=1e-10)
+
+
+class TestStack:
+    def test_round_trip_with_zeros_negative_offsets_and_disjoint_supports(self):
+        polys = [
+            LaurentPoly.zero(),
+            LaurentPoly(-5, (1.0, 2j)),
+            LaurentPoly.zero(),
+            LaurentPoly(3, (0.5, 0.0, -1.5)),
+            LaurentPoly(-1, (7.0,)),
+        ]
+        lo, c = stack(polys)
+        assert lo == -5 and c.shape == (11, 5)
+        for i, p in enumerate(polys):
+            assert [c[l, i] for l in range(len(c))] == [p.coeff(lo + l) for l in range(len(c))]
+        assert unstack(lo, c) == polys
+
+    def test_random_round_trips(self):
+        rng = np.random.default_rng(13)
+        for _ in range(30):
+            polys = [random_poly(rng, -9, 9) if rng.random() < 0.8 else LaurentPoly.zero() for _ in range(4)]
+            assert unstack(*stack(polys)) == polys
+
+    def test_all_zero_and_empty(self):
+        lo, c = stack([LaurentPoly.zero()] * 3)
+        assert lo == 0 and c.shape == (0, 3)
+        assert unstack(lo, c) == [LaurentPoly.zero()] * 3
+        assert stack([])[1].shape == (0, 0)
+
+    def test_unstack_trims_each_column(self):
+        c = np.array([[1e-15, 1.0], [1.0, 0.0], [0.0, 1e-15]])
+        assert unstack(-2, c) == [LaurentPoly(-1, (1.0,)), LaurentPoly(-2, (1.0,))]
+
+
+class TestHorner:
+    """The shared Horner against Horner loops kept in the tests, compared with ==."""
+
+    def test_poly_eval_matches_python_loop(self):
+        rng = np.random.default_rng(14)
+        for _ in range(60):
+            p = random_poly(rng, -7, 7)
+            for z in np.exp(2j * np.pi * rng.random(6)):
+                assert p(z) == python_horner(p, complex(z))
+                assert type(p(z)) is complex
+        assert LaurentPoly.zero()(1j) == 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_matrix_eval_matches_numpy_loop(self, n):
+        rng = np.random.default_rng(15 + n)
+        mat = seeded_matrix(rng, n)
+        for z in np.exp(2j * np.pi * rng.random(6)):
+            assert np.array_equal(mat.eval(z), numpy_horner(mat.lo, mat.tensor, complex(z), (n, n)))
+        zero = MatrixLaurent([[LaurentPoly.zero()] * n] * n)
+        assert np.array_equal(zero.eval(1j), np.zeros((n, n)))
+
+    def test_stacked_values_on_points_match_numpy_loop(self):
+        rng = np.random.default_rng(16)
+        points = unit_grid(12)
+        polys = [random_poly(rng, -5, 5) for _ in range(3)] + [LaurentPoly.zero()]
+        lo, c = stack(polys)
+        assert np.array_equal(_horner(lo, c[:, :, None], points), numpy_horner(lo, c[:, :, None], points, (4, 12)))
+        lo, c = stack([LaurentPoly.zero()] * 2)
+        assert np.array_equal(_horner(lo, c[:, :, None], points), np.zeros((2, 12)))
 
 
 class TestComposePower:
@@ -355,6 +420,12 @@ class TestTensorStorage:
             mat.tensor[0, 0, 0] = 1.0
         back = pickle.loads(pickle.dumps(mat))
         assert back == mat and hash(back) == hash(mat)
+
+    def test_hash_agrees_with_eq_on_signed_zeros(self):
+        for minus_zero in (-0.0, complex(0.0, -0.0), complex(-0.0, -0.0)):
+            a = MatrixLaurent.from_tensor(0, np.array([1.0, minus_zero, 1.0], dtype=complex).reshape(3, 1, 1))
+            b = MatrixLaurent.from_tensor(0, np.array([1.0, 0.0, 1.0], dtype=complex).reshape(3, 1, 1))
+            assert a == b and hash(a) == hash(b)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):

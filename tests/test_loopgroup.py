@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from helpers import coefficient_grid, grid_eval, poly_eval, sampled_loop_from_filters, sampled_transition
+from helpers import (
+    coefficient_fibers,
+    coefficient_grid,
+    grid_eval,
+    poly_eval,
+    sampled_loop_from_filters,
+    sampled_transition,
+)
 from loopwave import (
     FilterSystem,
     LaurentPoly,
@@ -16,7 +23,8 @@ from loopwave import (
     random_paraunitary,
     transition,
 )
-from loopwave.loopgroup import Loop
+from loopwave.laurent import stack
+from loopwave.loopgroup import Loop, decimate
 
 ROOT2 = math.sqrt(2.0)
 
@@ -238,3 +246,31 @@ class TestPolyphaseProducts:
             expected = grid_eval(a, z**n) @ np.array([poly_eval(f, z) for f in source.filters])
             got = np.array([poly_eval(f, z) for f in moved.filters])
             assert np.max(np.abs(got - expected)) <= 1e-12
+
+
+class TestDecimate:
+    """decimate against the coefficient-by-coefficient fiber oracle."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_every_offset_residue(self, n):
+        rng = np.random.default_rng(30 + n)
+        for lo in range(-2 * n - 1, 2 * n + 1):
+            polys = [
+                LaurentPoly(lo, rng.standard_normal(int(rng.integers(1, 3 * n))) + 1j),
+                LaurentPoly.zero(),
+                LaurentPoly(lo + int(rng.integers(0, 2 * n)), rng.standard_normal(int(rng.integers(1, 2 * n)))),
+            ]
+            q0, d = decimate(*stack(polys), n)
+            assert q0 == min(p.valuation for p in polys if not p.is_zero) // n
+            assert d.shape[1:] == (3, n)
+            oracle = coefficient_fibers(polys, n)
+            assert all(0 <= q - q0 < len(d) for q, _, _ in oracle)
+            for l in range(len(d)):
+                for i in range(3):
+                    for k in range(n):
+                        assert d[l, i, k] == oracle.get((q0 + l, i, k), 0.0)
+            assert max(q for q, _, _ in oracle) == q0 + len(d) - 1
+
+    def test_no_lags(self):
+        q0, d = decimate(*stack([LaurentPoly.zero()] * 2), 3)
+        assert q0 == 0 and d.shape == (0, 2, 3)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -34,6 +35,11 @@ class TestVerifyQmf:
         assert report.scalar_residual <= 1e-12
         assert report.grid_residual <= 1e-12
         assert report.low_pass
+
+    def test_zero_system_reports_full_defects(self):
+        report = verify_qmf(FilterSystem(2, [LaurentPoly.zero()] * 2))
+        assert (report.unitary_residual, report.scalar_residual, report.grid_residual) == (1.0, 0.5, 1.0)
+        assert not report.passed
 
     def test_base_monomials_pass_exactly(self):
         for n in (2, 3):
@@ -148,6 +154,21 @@ class TestFir2Completion:
         system = complete(m0, 2, mode="fir2")
         assert isinstance(system, FilterSystem)
         assert verify_qmf(system).unitary_residual <= 1e-12
+
+    def test_seeded_completions_are_pinned(self):
+        # SHA-256 of the offsets and coefficient bytes of 144 completions,
+        # of m_0 from seeded loops of degree 0-23 times z^-3 .. z^2.  It pins
+        # the rounding of the phase convention; the inputs come from the QR
+        # in random_paraunitary, so another LAPACK build may need a new pin.
+        digest = hashlib.sha256()
+        for degree in range(24):
+            for seed in range(6):
+                m0 = loop_to_filters(random_paraunitary(2, degree, seed)).filters[0]
+                system = complete(m0 * LaurentPoly.monomial(seed - 3), 2)
+                for f in system.filters:
+                    digest.update(np.int64(f.offset).tobytes())
+                    digest.update(np.array(f.coeffs, dtype=complex).tobytes())
+        assert digest.hexdigest() == "8603744b94c2e0d2c99a954c1ba381aaaf5252b388eb40680b4a074f6158130b"
 
     def test_scalar_violation_rejected(self):
         with pytest.raises(ValueError):

@@ -430,6 +430,15 @@ class TestPublicSurface:
         assert phi.last_delta == phi.deltas[-1] and phi.converged
         assert psi.orthonormal_case
 
+    def test_samples_compare_and_hash_by_identity(self, haar):
+        phi = cascade(haar.filters[0], 2, 2)
+        other = cascade(haar.filters[0], 2, 2)
+        psi = wavelets(haar, phi)
+        w = synthesize_W({0: 1.0}, phi)
+        assert phi == phi and phi != other
+        assert psi == psi and w == w and psi != w
+        assert len({phi, other, psi, w}) == 4
+
     def test_keyword_construction(self, haar):
         values = np.ones(3, dtype=complex)
         phi = ScalingFunctionSamples(
