@@ -60,10 +60,16 @@ class TruncatedRep:
         return self.system.n
 
 
-def _filter_support(system: FilterSystem) -> tuple[int, int]:
+def _filter_stack(system: FilterSystem) -> tuple[int, np.ndarray]:
+    """(t_min, C): the filters stacked, C[l, i] the tap t_min + l of m_i."""
     t_min, c = stack(system.filters)
     if len(c) == 0:
         raise ValueError("filter system is identically zero")
+    return t_min, c
+
+
+def _filter_support(system: FilterSystem) -> tuple[int, int]:
+    t_min, c = _filter_stack(system)
     return t_min, t_min + len(c) - 1
 
 
@@ -87,9 +93,8 @@ def build_rep(system: FilterSystem, in_band: Band) -> TruncatedRep:
     if not system.verified:
         raise ValueError("build_rep requires a verified filter system")
     n = system.n
-    t_min, t_max = _filter_support(system)
-    out_band = Band(n * in_band.k_min + t_min, n * in_band.k_max + t_max)
-    _, coeffs = stack(system.filters)
+    t_min, coeffs = _filter_stack(system)
+    out_band = Band(n * in_band.k_min + t_min, n * in_band.k_max + t_min + len(coeffs) - 1)
     rows = _window_rows(n, in_band, t_min, len(coeffs), out_band.k_min)
     s = np.zeros((n, out_band.size, in_band.size), dtype=complex)
     s[:, rows, np.arange(in_band.size)] = math.sqrt(n) * coeffs.T[:, :, None]

@@ -4,7 +4,7 @@ Coefficients are stored densely over the support interval, starting at
 ``offset`` (the lowest exponent); a matrix of them stores one (L, n, n)
 coefficient tensor, lag l holding the coefficient matrix of z^(lo + l).
 ``stack`` and ``unstack`` are the only conversions between polynomials and
-such arrays, and ``_horner`` evaluates either form.  All values are
+such arrays, and ``horner`` evaluates either form.  All values are
 immutable after construction; arithmetic is exact coefficient arithmetic in
 double precision.  The circle adjoint ``star`` satisfies
 star(p)(z) = conj(p(z)) for |z| = 1, which is what makes paraunitarity a
@@ -106,15 +106,21 @@ class LaurentPoly:
 
     def support(self) -> range:
         """Exponent interval carrying the stored coefficients."""
-        if self.is_zero:
-            return range(0, 0)
         return range(self.offset, self.offset + len(self.coeffs))
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: LaurentPoly | complex) -> LaurentPoly:
-        lo, c = stack((self, _coerce(other)))
-        return LaurentPoly(lo, c.sum(axis=1).tolist())
+        # In Python lists: an array from stack costs more than this whole sum.
+        other = _coerce(other)
+        if self.is_zero or other.is_zero:
+            return other if self.is_zero else self
+        lo = min(self.offset, other.offset)
+        out = [0j] * (max(self.degree, other.degree) - lo + 1)
+        for p in (self, other):
+            for i, c in enumerate(p.coeffs, p.offset - lo):
+                out[i] += c
+        return LaurentPoly(lo, out)
 
     def __radd__(self, other: complex) -> LaurentPoly:
         return self + other
@@ -148,8 +154,6 @@ class LaurentPoly:
 
         Sends the coefficient of z^k to its conjugate at z^-k; an involution.
         """
-        if self.is_zero:
-            return self
         return LaurentPoly(-self.degree, tuple(c.conjugate() for c in reversed(self.coeffs)))
 
     def compose_power(self, n: int) -> LaurentPoly:
@@ -167,14 +171,13 @@ class LaurentPoly:
         z = complex(z)
         if abs(abs(z) - 1.0) > UNIT_CIRCLE_TOL:
             raise ValueError(f"evaluation point must lie on the unit circle, |z| = {abs(z)!r}")
-        return _horner(self.offset, self.coeffs, z)
+        return horner(self.offset, self.coeffs, z)
 
     # -- comparisons -------------------------------------------------------
 
     def distance(self, other: LaurentPoly) -> float:
         """Max coefficient modulus of self - other."""
-        d = self - other
-        return max((abs(c) for c in d.coeffs), default=0.0)
+        return (self - other).max_abs()
 
     def allclose(self, other: LaurentPoly, tol: float = 1e-12) -> bool:
         return self.distance(other) <= tol
@@ -224,7 +227,7 @@ def unstack(lo: int, c: np.ndarray) -> list[LaurentPoly]:
     return [LaurentPoly(lo, col.tolist()) for col in c.T]
 
 
-def _horner(lo: int, c: tuple[complex, ...] | np.ndarray, z: complex | np.ndarray):
+def horner(lo: int, c: tuple[complex, ...] | np.ndarray, z: complex | np.ndarray):
     """sum_l c[l] z^(lo + l) by Horner's rule from the top lag.
 
     c is a tuple of numbers, summed in Python complex arithmetic, or an
@@ -379,7 +382,7 @@ class MatrixLaurent:
     def entries(self) -> tuple[tuple[LaurentPoly, ...], ...]:
         """The matrix as a grid of trimmed LaurentPoly, built once."""
         if self._entries is None:
-            flat = unstack(self.lo, self.tensor.reshape(len(self.tensor), -1))
+            flat = unstack(self.lo, self.tensor.reshape(len(self.tensor), self.n * self.n))
             rows = tuple(tuple(flat[i * self.n : (i + 1) * self.n]) for i in range(self.n))
             object.__setattr__(self, "_entries", rows)
         return self._entries
@@ -475,7 +478,7 @@ class MatrixLaurent:
         z = complex(z)
         if abs(abs(z) - 1.0) > UNIT_CIRCLE_TOL:
             raise ValueError(f"evaluation point must lie on the unit circle, |z| = {abs(z)!r}")
-        return _horner(self.lo, self.tensor, z)
+        return horner(self.lo, self.tensor, z)
 
     def distance(self, other: MatrixLaurent) -> float:
         """Max coefficient modulus of self - other, each entry end-trimmed."""

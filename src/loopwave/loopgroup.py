@@ -113,9 +113,11 @@ def decimate(lo: int, c: np.ndarray, n: int) -> tuple[int, np.ndarray]:
     z^((lo' + l) n + k) in polynomial i.
 
     This is the coefficient-level fiber sum, one pad to whole blocks of n
-    lags and one reshape; D has shape (L', C.shape[1], n) and no lags when
-    C has none.
+    lags and one reshape; D has shape (L', C.shape[1], n), and lo' = 0 with
+    no lags when C has none.
     """
+    if len(c) == 0:
+        return 0, np.zeros((0, c.shape[1], n), dtype=complex)
     head = lo % n
     blocks = -(-(head + len(c)) // n)
     padded = np.zeros((blocks * n, c.shape[1]), dtype=complex)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .laurent import LaurentPoly, _horner, lag_adjoint, lag_convolve, stack, unit_grid
+from .laurent import LaurentPoly, horner, lag_adjoint, lag_convolve, stack, unit_grid
 from .loopgroup import FilterSystem, decimate, polyphase_matrix
 
 #: Default coefficient-level tolerance for the exact QMF certificate.
@@ -118,7 +118,7 @@ def verify_qmf(system: FilterSystem, tol: float = EXACT_TOL, grid_size: int | No
     _, unitary_residual = polyphase_matrix(system).is_paraunitary(tol)
 
     lo, c = stack(system.filters)
-    values = _horner(lo, c[:, :, None], unit_grid(grid_size))
+    values = horner(lo, c[:, :, None], unit_grid(grid_size))
     # values[j, k * grid_size / N + t] = m_j(rho^k z_t): fiber matrix t is [:, :, t].
     grid_residual = _unitarity_defect(values.reshape(n, n, grid_size // n).transpose(2, 0, 1))
 
@@ -165,13 +165,10 @@ def _fir2_completion(m0: LaurentPoly) -> LaurentPoly:
     # Alternating conjugate flip about an odd pivot exponent: with
     # b_k = (-1)^k conj(a_{E-k}) and E odd, the fiber of z^2 is {w, -w} and
     # the cross terms cancel in pairs, so (m_0, m_1) is QMF whenever m_0
-    # passes the scalar test.  E is the top degree, padded by one when even.
-    deg = m0.degree
-    pivot = deg if deg % 2 != 0 else deg + 1
-    lo = pivot - m0.degree
-    hi = pivot - m0.valuation
-    coeffs = [(-1.0) ** (k % 2) * m0.coeff(pivot - k).conjugate() for k in range(lo, hi + 1)]
-    m1 = LaurentPoly(lo, coeffs)
+    # passes the scalar test.  E is the top degree, padded by one when even;
+    # b is then z^E star(m_0) with alternating signs, from exponent E - deg.
+    lo = 1 - m0.degree % 2
+    m1 = LaurentPoly(lo, [(-1.0) ** (k % 2) * c for k, c in enumerate(m0.star().coeffs, lo)])
 
     # Phase convention: first nonzero entry of the new row's polyphase
     # column at z = 1 is made positive real.  The column is summed in
@@ -189,7 +186,7 @@ def _grid_completion(m0: LaurentPoly, n: int, grid_size: int) -> SampledSystem:
     base = unit_grid(grid_size)
     reps = fiber_representatives(base, n)
     lo, c = stack([m0])
-    row0 = _horner(lo, c[:, 0], reps)
+    row0 = horner(lo, c[:, 0], reps)
     # Gram-Schmidt at every base point at once: the canonical basis minus
     # the vector of largest overlap with row 0, in order.
     skip = np.argmax(np.abs(row0), axis=1)

@@ -34,7 +34,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .laurent import LaurentPoly, stack
+from .laurent import LaurentPoly
 from .loopgroup import FilterSystem
 from .qmf import low_pass_check, verify_scalar_qmf
 
@@ -209,7 +209,7 @@ def cascade(m0: LaurentPoly, n: int, level: int, tol: float = 1e-10) -> ScalingF
         raise ValueError("m_0 must be nonzero")
 
     lowpass = LaurentPoly(0, m0.coeffs)
-    a = stack([lowpass])[1][:, 0]
+    a = np.asarray(lowpass.coeffs, dtype=complex)
     size = (len(a) - 1) // (n - 1) + 1
     phi = _integer_point_values(a, n, size)
     seed = "point"

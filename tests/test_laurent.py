@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from loopwave.laurent import LaurentPoly, MatrixLaurent, _horner, stack, unit_grid, unstack
+from loopwave.laurent import LaurentPoly, MatrixLaurent, horner, stack, unit_grid, unstack
 
 from helpers import (
     coefficient_grid,
@@ -155,9 +155,9 @@ class TestHorner:
         points = unit_grid(12)
         polys = [random_poly(rng, -5, 5) for _ in range(3)] + [LaurentPoly.zero()]
         lo, c = stack(polys)
-        assert np.array_equal(_horner(lo, c[:, :, None], points), numpy_horner(lo, c[:, :, None], points, (4, 12)))
+        assert np.array_equal(horner(lo, c[:, :, None], points), numpy_horner(lo, c[:, :, None], points, (4, 12)))
         lo, c = stack([LaurentPoly.zero()] * 2)
-        assert np.array_equal(_horner(lo, c[:, :, None], points), np.zeros((2, 12)))
+        assert np.array_equal(horner(lo, c[:, :, None], points), np.zeros((2, 12)))
 
 
 class TestComposePower:
@@ -390,6 +390,21 @@ class TestTensorStorage:
         assert (zero @ MatrixLaurent.identity(2)).max_abs() == 0.0
         assert zero.star() == zero
         assert zero.is_paraunitary() == (False, 1.0)
+
+    def test_zero_matrix_entries_without_cache(self):
+        import pickle
+
+        eye = MatrixLaurent.identity(2)
+        zeros = ((LaurentPoly.zero(),) * 2,) * 2
+        for zero in (
+            eye - eye,
+            MatrixLaurent.from_tensor(0, np.zeros((1, 2, 2))),
+            MatrixLaurent([[LaurentPoly.zero()] * 2] * 2) @ eye,
+            (eye - eye).star(),
+            pickle.loads(pickle.dumps(eye - eye)),
+        ):
+            assert zero.entries == zeros
+            assert zero[0, 0] == LaurentPoly.zero() and zero.apply(np.ones(2)) == [LaurentPoly.zero()] * 2
 
     def test_compose_power_is_strided(self):
         rng = np.random.default_rng(10)

@@ -274,3 +274,6 @@ class TestDecimate:
     def test_no_lags(self):
         q0, d = decimate(*stack([LaurentPoly.zero()] * 2), 3)
         assert q0 == 0 and d.shape == (0, 2, 3)
+        for lo in range(-4, 5):
+            q0, d = decimate(lo, np.zeros((0, 2)), 3)
+            assert q0 == 0 and d.shape == (0, 2, 3)
