@@ -27,6 +27,10 @@ PASS, FAIL, USAGE = 0, 1, 2
 #: Rows of the cascade CSV formatted and written at a time.
 CSV_CHUNK_ROWS = 4096
 
+#: Most samples, phi and every psi together, that ``cascade`` computes:
+#: 2^26 complex samples take 1 GiB.
+CASCADE_SAMPLE_BUDGET = 1 << 26
+
 
 def _default_tol(fallback: float = 1e-10) -> float:
     raw = os.environ.get("LOOPWAVE_TOL")
@@ -164,6 +168,14 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_cascade(args: argparse.Namespace) -> int:
     loaded = fileio.load_filter_file(args.path)
     assert isinstance(loaded, FilterSystem)
+    samples = wavelet.cascade_samples(loaded, args.iters)
+    if samples > CASCADE_SAMPLE_BUDGET:
+        print(
+            f"error: --iters {args.iters} needs about {samples:.3g} samples, over the budget of "
+            f"{CASCADE_SAMPLE_BUDGET}; reduce --iters",
+            file=sys.stderr,
+        )
+        return USAGE
     system = qmf.certify(loaded, tol=args.tol)
     phi = wavelet.cascade(system.filters[0], system.n, args.iters, tol=args.tol)
     psi = wavelet.wavelets(system, phi)

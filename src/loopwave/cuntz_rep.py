@@ -8,9 +8,10 @@ band is grown to lose nothing forward), while the completeness relation
 sum_i S_i S_i* = 1 is exact on a reported interior sub-band whose preimage
 indices all lie inside the input band.
 
-The models hold the dense matrices, but column k of S_i is nonzero only on
-the L indices N k + t, t in the filter support, so every product is formed
-from those column windows (``_windows``) and the band structure they give.
+Column k of S_i is nonzero only on the L indices N k + t, t in the filter
+support, so a model holds those column windows, an (N, L, |in|) tensor,
+and every product is formed from them and the band structure they give.
+The dense matrices are built only when ``TruncatedRep.S`` is read.
 """
 
 from __future__ import annotations
@@ -46,18 +47,63 @@ class Band:
         return self.k_min <= k <= self.k_max
 
 
-@dataclass(frozen=True)
 class TruncatedRep:
-    """Matrix models of the N filter isometries between two index bands."""
+    """Models of the N filter isometries S_i between two index bands.
 
-    system: FilterSystem
-    in_band: Band
-    out_band: Band
-    S: tuple[np.ndarray, ...]
+    A model is held as its column windows: windows[i, a, k] = S_i[rows[a, k], k],
+    with rows[a, k] the output-band position of the index N k + t_min + a for
+    input position k and a in [0, L), [t_min, t_min + L - 1] the combined
+    filter support.  An entry whose index falls outside the output band is
+    0, with its row clipped to 0.  ``S``, the N dense |out| x |in| matrices
+    (read-only), is built from the windows on first read.
+
+    ``TruncatedRep(system, in_band, out_band, S)`` builds a model from
+    dense matrices instead.  Its windows are read out of S on first use,
+    which raises ValueError naming S_i if some S_i has a nonzero entry
+    outside its windows.
+    """
+
+    def __init__(self, system: FilterSystem, in_band: Band, out_band: Band, S: tuple[np.ndarray, ...]) -> None:
+        self.system = system
+        self.in_band = in_band
+        self.out_band = out_band
+        self._dense = S
+        self._windows: tuple[np.ndarray, np.ndarray] | None = None
+
+    @classmethod
+    def _from_windows(
+        cls, system: FilterSystem, in_band: Band, out_band: Band, windows: np.ndarray, rows: np.ndarray
+    ) -> TruncatedRep:
+        rep = cls.__new__(cls)
+        rep.system, rep.in_band, rep.out_band = system, in_band, out_band
+        rep._dense, rep._windows = None, (windows, rows)
+        return rep
+
+    def __repr__(self) -> str:
+        return f"TruncatedRep(system={self.system!r}, in_band={self.in_band!r}, out_band={self.out_band!r})"
 
     @property
     def n(self) -> int:
         return self.system.n
+
+    @property
+    def S(self) -> tuple[np.ndarray, ...]:
+        """The dense matrices S_i, read-only, built from the windows on first read."""
+        if self._dense is None:
+            windows, rows = self._windows
+            s = np.zeros((self.n, self.out_band.size, self.in_band.size), dtype=complex)
+            s[:, rows, np.arange(self.in_band.size)] = windows
+            s.setflags(write=False)
+            self._dense = tuple(s)
+        return self._dense
+
+    @property
+    def windows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(windows, rows): the (N, L, |in|) column windows and their (L, |in|)
+        output-band positions."""
+        if self._windows is None:
+            self._windows = _read_windows(self)
+        return self._windows
 
 
 def _filter_stack(system: FilterSystem) -> tuple[int, np.ndarray]:
@@ -96,24 +142,18 @@ def build_rep(system: FilterSystem, in_band: Band) -> TruncatedRep:
     t_min, coeffs = _filter_stack(system)
     out_band = Band(n * in_band.k_min + t_min, n * in_band.k_max + t_min + len(coeffs) - 1)
     rows = _window_rows(n, in_band, t_min, len(coeffs), out_band.k_min)
-    s = np.zeros((n, out_band.size, in_band.size), dtype=complex)
-    s[:, rows, np.arange(in_band.size)] = math.sqrt(n) * coeffs.T[:, :, None]
-    s.setflags(write=False)
-    return TruncatedRep(system=system, in_band=in_band, out_band=out_band, S=tuple(s))
+    rows.setflags(write=False)
+    # every column holds the same taps
+    windows = np.broadcast_to(math.sqrt(n) * coeffs.T[:, :, None], (n, len(coeffs), in_band.size))
+    return TruncatedRep._from_windows(system, in_band, out_band, windows, rows)
 
 
-def _windows(rep: TruncatedRep, support: tuple[int, int] | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The column windows of the matrices the rep holds.
+def _read_windows(rep: TruncatedRep) -> tuple[np.ndarray, np.ndarray]:
+    """The column windows of a model built from dense matrices.
 
-    Column k of S_i can be nonzero only on the indices N k + t, t in the
-    filter support [t_min, t_max] (or the wider ``support`` given), so
-    W[i, a, k] = S_i[N k + t_min + a, k] holds every nonzero entry.
-    Returns W, shape (N, L, |in|), and the output-band positions rows[a, k]
-    of its entries; entries whose index falls outside the output band are
-    zero, with their row clipped to 0.  Raises ValueError when some S_i has
-    a nonzero outside its windows, which only a hand-built rep can have.
+    Raises ValueError when some S_i has a nonzero outside its windows.
     """
-    t_min, t_max = _filter_support(rep.system) if support is None else support
+    t_min, t_max = _filter_support(rep.system)
     rows = _window_rows(rep.n, rep.in_band, t_min, t_max - t_min + 1, rep.out_band.k_min)
     inside = (rows >= 0) & (rows < rep.out_band.size)
     rows = np.where(inside, rows, 0)
@@ -125,7 +165,22 @@ def _windows(rep: TruncatedRep, support: tuple[int, int] | None = None) -> tuple
         # Counted over real and imaginary parts, which is cheaper and as exact.
         if np.count_nonzero(s.view(np.float64)) != np.count_nonzero(windows[i].view(np.float64)):
             raise ValueError(f"S_{i} has nonzero entries outside its weighted-shift windows")
+    windows.setflags(write=False)
+    rows.setflags(write=False)
     return windows, rows
+
+
+def _padded_windows(rep: TruncatedRep, support: tuple[int, int]) -> np.ndarray:
+    """rep's windows on a filter support [t_lo, t_hi] that contains its own,
+    with zero rows for the indices outside its own support."""
+    windows, _ = rep.windows
+    length = support[1] - support[0] + 1
+    if windows.shape[1] == length:
+        return windows
+    out = np.zeros((rep.n, length, rep.in_band.size), dtype=complex)
+    offset = _filter_support(rep.system)[0] - support[0]
+    out[:, offset : offset + windows.shape[1]] = windows
+    return out
 
 
 def _scatter(rows: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
@@ -203,12 +258,12 @@ def verify_cuntz(rep: TruncatedRep) -> CuntzReport:
     S_i* S_j = delta_ij is checked on the full input band (exact by the
     lossless output band); sum_i S_i S_i* = 1 is checked on the interior
     sub-band only, which is reported.  Both are maxima over every entry of
-    those matrices, formed from the column windows of rep.S: S_i* S_j is
-    zero beyond lag floor((L - 1) / N), and sum_i S_i S_i* is Hermitian and
-    zero beyond row lag L - 1, so the other entries are exactly 0.
+    those matrices, formed from the column windows: S_i* S_j is zero beyond
+    lag floor((L - 1) / N), and sum_i S_i S_i* is Hermitian and zero beyond
+    row lag L - 1, so the other entries are exactly 0.
     """
     n = rep.n
-    w, rows = _windows(rep)
+    w, rows = rep.windows
     length, cols = w.shape[1], w.shape[2]
     iso = 0.0
     for d in range(min((length - 1) // n, cols - 1) + 1):
@@ -253,7 +308,7 @@ def reconstruct(rep: TruncatedRep, f: np.ndarray) -> tuple[np.ndarray, float]:
             f"vector has support at index {bad[0] + rep.out_band.k_min} outside interior "
             f"[{inner.k_min}, {inner.k_max}]"
         )
-    w, rows = _windows(rep)
+    w, rows = rep.windows
     coefficients = np.einsum("iak,ak->ik", w.conj(), f[rows])  # S_i* f
     g = _scatter(rows, np.einsum("iak,ik->ak", w, coefficients), f.size)
     return g, float(np.max(np.abs(g - f)))
@@ -264,7 +319,7 @@ def transition_operator_matrix(rep_a: TruncatedRep, rep_b: TruncatedRep, tol: fl
 
     Each symbol is the exact polyphase fiber sum of conj(n_i) m_j: entry
     (i, j) of the transposed loop P(m) star(P(n)), with P the polyphase
-    matrix.  The truncated products of the matrices the reps hold are then
+    matrix.  The truncated products of the models are then
     checked entrywise against the symbols' multiplication-operator
     matrices on the input band, which the lossless output band makes
     exact: entry (k, k + d) of the product is the symbol's coefficient of
@@ -279,8 +334,7 @@ def transition_operator_matrix(rep_a: TruncatedRep, rep_b: TruncatedRep, tol: fl
     size = rep_a.in_band.size
     (a_min, a_max), (b_min, b_max) = _filter_support(rep_a.system), _filter_support(rep_b.system)
     support = (min(a_min, b_min), max(a_max, b_max))
-    wa, _ = _windows(rep_a, support)
-    wb, _ = _windows(rep_b, support)
+    wa, wb = _padded_windows(rep_a, support), _padded_windows(rep_b, support)
     loop = polyphase_matrix(rep_b.system) @ polyphase_matrix(rep_a.system).star()
     symbols = MatrixLaurent.from_tensor(loop.lo, loop.tensor.transpose(0, 2, 1))
 
@@ -327,7 +381,8 @@ def commutant_diagnostic(rep: TruncatedRep, tol: float = 1e-6) -> CommutantRepor
     sigma(A) = sum_i V_i A V_i^* on B(K), with V_i = P_K S_i|_K.  With A
     flattened row-major, sigma = sum_i kron(V_i, conj V_i), and the
     dimension is the number of singular values of sigma - I below tol.
-    The V_i are sliced out of rep.S, so the input band must contain K.
+    The V_i are sliced out of the dense rep.S, so the input band must
+    contain K.
     """
     attractor = attractor_band(rep.system)
     if attractor.k_min not in rep.in_band or attractor.k_max not in rep.in_band:

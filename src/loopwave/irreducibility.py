@@ -52,11 +52,13 @@ def _null_space(mat: np.ndarray, ambient_dim: int) -> np.ndarray:
     The threshold is relative to max(1, largest singular value): the inputs
     here are built from unit vectors and contraction-sized coefficients, so
     a near-zero matrix must report a full null space rather than an empty
-    one.
+    one.  A matrix with at least as many rows as columns takes the thin SVD,
+    whose vh is already square; a wide one needs the full vh, whose extra
+    rows span the rest of the null space.
     """
     if mat.size == 0:
         return np.eye(ambient_dim, dtype=complex)
-    _, svals, vh = np.linalg.svd(mat)
+    _, svals, vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
     thresh = RANK_TOL * max(1.0, svals[0] if svals.size else 0.0)
     rank = int(np.count_nonzero(svals > thresh))
     return vh[rank:].conj().T

@@ -13,7 +13,7 @@ finite coefficient-level identity rather than a sampling statement.
 
 from __future__ import annotations
 
-import math
+import cmath
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -28,11 +28,17 @@ TRIM_TOL = 1e-14
 UNIT_CIRCLE_TOL = 1e-12
 
 
-def _as_complex_tuple(coeffs: Iterable[complex]) -> tuple[complex, ...]:
-    out = tuple(complex(c) for c in coeffs)
-    for c in out:
-        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-            raise ValueError(f"non-finite coefficient {c!r}")
+def _as_complex_tuple(coeffs: Iterable[complex] | np.ndarray) -> tuple[complex, ...]:
+    if isinstance(coeffs, np.ndarray) and coeffs.ndim == 1:
+        out = tuple(coeffs.astype(complex, copy=False).tolist())
+    else:
+        out = tuple(complex(c) for c in coeffs)
+    # A non-finite coefficient makes the sum non-finite; finite ones may
+    # overflow it, so only then is each one checked.
+    if not cmath.isfinite(sum(out)):
+        for c in out:
+            if not cmath.isfinite(c):
+                raise ValueError(f"non-finite coefficient {c!r}")
     return out
 
 
@@ -224,7 +230,7 @@ def stack(polys: Sequence[LaurentPoly]) -> tuple[int, np.ndarray]:
 
 def unstack(lo: int, c: np.ndarray) -> list[LaurentPoly]:
     """Inverse of stack: polys[i] = sum_l C[l, i] z^(lo + l), each trimmed."""
-    return [LaurentPoly(lo, col.tolist()) for col in c.T]
+    return [LaurentPoly(lo, col) for col in c.T]
 
 
 def horner(lo: int, c: tuple[complex, ...] | np.ndarray, z: complex | np.ndarray):

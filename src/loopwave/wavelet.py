@@ -20,9 +20,16 @@ of two seeds:
   quadrature error.
 
 The generators, W xi = sum_k xi_k phi(. - k) and each refinement step are
-sums of translates of one sample array.  W intertwines the low-pass
-isometry S_0 with the dilation U_N f(x) = N^{-1/2} f(x/N) up to the
-refinement defect D(y) = phi(y) - N sum_t a_t phi(N y - t):
+sums of translates of one sample array, summed one cache-sized block of
+the output at a time.  The cascade iterates of a real filter and their
+refinement defect are real and are summed in float64: directly under
+real weights, and as two real sums, the real and imaginary parts, under
+complex ones.  The results have the bits of the complex sums, and the
+sample arrays handed out stay complex.
+
+W intertwines the low-pass isometry S_0 with the dilation
+U_N f(x) = N^{-1/2} f(x/N) up to the refinement defect
+D(y) = phi(y) - N sum_t a_t phi(N y - t):
     U_N(W xi)(x) - W(S_0 xi)(x) = N^{-1/2} sum_k xi_k D(x/N - k).
 """
 
@@ -127,20 +134,68 @@ class WaveletSamples(GridFunction):
     orthonormal_case: bool
 
 
-def _translate_sum(v: np.ndarray, starts, weights, out: np.ndarray | None = None) -> np.ndarray:
-    """sum_j weights[j] v[. - starts[j]] for starts >= 0, added in order into
-    out, or into zeros of the natural length max(starts) + len(v)."""
-    if out is None:
-        out = np.zeros(max(starts, default=0) + len(v), dtype=complex)
-    for s, w in zip(starts, weights):
-        # 2^15 samples at a time, so that the temporary w * v stays at 512 kB
-        for lo in range(0, len(v), 1 << 15):
-            block = v[lo : lo + (1 << 15)]
-            out[s + lo : s + lo + len(block)] += w * block
+#: Output samples summed at a time: the running sums and one product term,
+#: 2^14 complex samples each, stay in a core's cache.
+_BLOCK = 1 << 14
+
+
+def _real_if_exact(values: np.ndarray) -> np.ndarray:
+    """The real part of values when the imaginary part is exactly zero, else values."""
+    return values if values.imag.any() else values.real
+
+
+def _sum_blocks(v: np.ndarray, starts, weights, length: int):
+    """Yield (j, sums) for the blocks j = 0, B, 2B, ... below length that
+    some translate reaches, in order, where
+    sums[m] = sum_k weights[k] v[j + m - starts[k]] over the terms that reach
+    j + m, added in the order given.  sums is reused by the next block.
+
+    The arithmetic is real where the numbers are: real weights on real
+    samples sum in float64, and complex weights on real samples sum the
+    real and imaginary parts w.real v and w.imag v apart.  Both give the
+    bits of the complex sum of the products w * v: a product with a zero
+    factor is an exact zero, and a sum that starts from 0 cannot end at -0.
+    """
+    v = np.ascontiguousarray(v)  # every term reads v again
+    weights = [complex(w) for w in weights]
+    if np.iscomplexobj(v):
+        parts = [weights]
+    elif any(w.imag for w in weights):
+        parts = [[w.real for w in weights], [w.imag for w in weights]]
+    else:
+        parts = [[w.real for w in weights]]
+    size = min(_BLOCK, length)
+    accs = [np.empty(size, v.dtype) for _ in parts]
+    sums = accs[0] if len(parts) == 1 else np.empty(size, complex)
+    term = np.empty(size, v.dtype)
+    for j in sorted({b * size for s in starts for b in range(s // size, (s + len(v) - 1) // size + 1)}):
+        m = min(size, length - j)
+        for acc, ws in zip(accs, parts):
+            acc[:m] = 0.0
+            for s, w in zip(starts, ws):
+                lo, hi = max(j, s), min(j + m, s + len(v))
+                if lo < hi:
+                    np.multiply(w, v[lo - s : hi - s], out=term[: hi - lo])
+                    acc[lo - j : hi - j] += term[: hi - lo]
+        if len(parts) == 2:
+            sums.real[:m], sums.imag[:m] = accs[0][:m], accs[1][:m]
+        yield j, sums[:m]
+
+
+def _translate_sum(v: np.ndarray, starts, weights, out: np.ndarray) -> np.ndarray:
+    """Write sum_j weights[j] v[. - starts[j]] over all of out, for starts >= 0
+    whose translates end inside out; a real out takes real samples and
+    weights only."""
+    end = 0
+    for j, sums in _sum_blocks(v, starts, weights, len(out)):
+        out[end:j] = 0.0
+        out[j : j + len(sums)] = sums
+        end = j + len(sums)
+    out[end:] = 0.0
     return out
 
 
-def _filter_sum(v: np.ndarray, f: LaurentPoly, n: int, stride: int, out: np.ndarray | None = None) -> np.ndarray:
+def _filter_sum(v: np.ndarray, f: LaurentPoly, n: int, stride: int, out: np.ndarray) -> np.ndarray:
     """One refinement step N sum_t f_t v[. - t stride], indexed from f's lowest tap."""
     return _translate_sum(v, range(0, len(f.coeffs) * stride, stride), [n * c for c in f.coeffs], out)
 
@@ -149,15 +204,17 @@ def _refinement_defect(phi: ScalingFunctionSamples, a: LaurentPoly) -> GridFunct
     """D[m] = fine[m] - N sum_t a_t coarse[m - t N^(level-1)] on phi's grid.
 
     fine = phi.values and coarse = fine[::N] are zero off their samples; D
-    covers the union of both supports.
+    covers the union of both supports.  D is real when the samples and the
+    taps are.
     """
-    n, fine = phi.n, phi.values
+    n, fine = phi.n, _real_if_exact(phi.values)
     step = n ** (phi.level - 1)
     coarse = fine[::n]
     lo = min(0, a.valuation * step)
-    defect = np.zeros(max(a.degree * step + len(coarse), len(fine)) - lo, dtype=complex)
+    real = np.isrealobj(fine) and not any(c.imag for c in a.coeffs)
+    defect = np.zeros(max(a.degree * step + len(coarse), len(fine)) - lo, dtype=float if real else complex)
     # -refined + fine is fine - refined exactly, and needs no second buffer
-    _filter_sum(coarse, a, n, step, out=defect[a.valuation * step - lo :])
+    _filter_sum(coarse, a, n, step, defect[a.valuation * step - lo :])
     np.negative(defect, out=defect)
     defect[-lo : len(fine) - lo] += fine
     return GridFunction(n, phi.level, lo, defect)
@@ -197,6 +254,10 @@ def cascade(m0: LaurentPoly, n: int, level: int, tol: float = 1e-10) -> ScalingF
     the coarse grid points, where both iterates hold exact values of phi
     (so the increments are rounding-level); under the box seed on every
     fine cell, against the previous piecewise-constant iterate.
+
+    Real taps on a real seed keep every iterate real, so those iterates
+    are summed in float64 and the last one is written straight into the
+    complex values.
     """
     if level < 0:
         raise ValueError("level must be >= 0")
@@ -217,10 +278,15 @@ def cascade(m0: LaurentPoly, n: int, level: int, tol: float = 1e-10) -> ScalingF
         phi = np.zeros(size, dtype=complex)
         phi[0] = 1.0
         seed = "box"
+    values = phi  # the result at level 0
+    phi = _real_if_exact(phi)
+    real = np.isrealobj(phi) and not a.imag.any()
     deltas: list[float] = []
     for t in range(level):
         # (L-1) N^t + len(phi) samples: the support grid refined once
-        nxt = _filter_sum(phi, lowpass, n, n**t)
+        values = np.empty((len(a) - 1) * n**t + len(phi), dtype=float if real and t < level - 1 else complex)
+        _filter_sum(phi, lowpass, n, n**t, values)
+        nxt = values.real if real else values
         peak = float(np.max(np.abs(nxt)))
         if peak > DIVERGENCE_GUARD:
             raise RuntimeError(f"cascade diverged: sup |phi| = {peak:.3e} at iteration {t + 1}")
@@ -230,17 +296,34 @@ def cascade(m0: LaurentPoly, n: int, level: int, tol: float = 1e-10) -> ScalingF
             delta = np.max(np.abs(nxt - np.repeat(phi, n)[: len(nxt)]))
         deltas.append(float(delta))
         phi = nxt
-    phi.setflags(write=False)
+    values.setflags(write=False)
     return ScalingFunctionSamples(
         n=n,
         level=level,
-        values=phi,
+        values=values,
         lowpass=lowpass,
         filter_length=len(a),
         shift=m0.valuation,
         deltas=tuple(deltas),
         seed=seed,
     )
+
+
+def cascade_samples(system: FilterSystem, level: int) -> int | float:
+    """How many samples cascade(m_0, N, level) and wavelets(system, phi)
+    return together: phi's floor((L - 1) N^level / (N - 1)) + 1 and N - 1
+    generator rows as wide as their common window.  math.inf when N^level
+    exceeds 2^1023, far beyond any memory.
+    """
+    n = system.n
+    if level * math.log2(n) > 1023:
+        return math.inf
+    scale = n ** max(level, 0)
+    phi = (len(system.filters[0].coeffs) - 1) * scale // (n - 1) + 1
+    gens = [g for g in system.filters[1:] if not g.is_zero]
+    if not gens:
+        return phi
+    return phi + (n - 1) * ((max(g.degree for g in gens) - min(g.valuation for g in gens)) * scale + phi)
 
 
 def refinement_residual(phi: ScalingFunctionSamples) -> float:
@@ -275,7 +358,7 @@ def wavelets(system: FilterSystem, phi: ScalingFunctionSamples) -> WaveletSample
     end = max(g.degree for g in gens) * stride + len(phi.values)
     values = np.zeros((n - 1, end - start), dtype=complex)
     for i, g in enumerate(gens):
-        _filter_sum(phi.values, g, n, stride, out=values[i, g.valuation * stride - start :])
+        _filter_sum(phi.values, g, n, stride, values[i, g.valuation * stride - start :])
     values.setflags(write=False)
     shifted_m0 = LaurentPoly(0, system.filters[0].coeffs)
     orthonormal = low_pass_check(system.filters[0]) and shifted_m0.allclose(phi.lowpass, 1e-12)
@@ -294,7 +377,8 @@ def synthesize_W(xi: Mapping[int, complex], phi: GridFunction) -> GridFunction:
         return GridFunction(phi.n, phi.level, 0, np.zeros(1, dtype=complex))
     stride = phi.n**phi.level
     keys = sorted(xi)
-    values = _translate_sum(phi.values, [(k - keys[0]) * stride for k in keys], [complex(xi[k]) for k in keys])
+    values = np.empty((keys[-1] - keys[0]) * stride + phi.values.shape[-1], dtype=complex)
+    _translate_sum(phi.values, [(k - keys[0]) * stride for k in keys], [complex(xi[k]) for k in keys], values)
     return GridFunction(phi.n, phi.level, phi.start_index + keys[0] * stride, values)
 
 
@@ -309,19 +393,27 @@ def check_intertwine(
         N^{-1/2} sum_k xi_k D[q - k N^level],
         D[m] = fine[m] - N sum_t a_t coarse[m - t N^(level-1)],
     the refinement defect of the samples against m_0, so D is computed once
-    and synthesized by xi.  The residual is rounding-level for point-seeded
-    samples of m_0's own phi and for an exactly refinable box, of the order
-    of the last cascade increment for a box-seeded cascade short of its
-    fixed point (callers should check phi.converged), and O(1) for samples
-    refined from another filter.
+    and synthesized by xi one block of the lattice at a time, over the
+    blocks some translate reaches, each block reduced to its largest
+    modulus as it is formed.  The residual is rounding-level for
+    point-seeded samples of m_0's own phi and for an exactly refinable box,
+    of the order of the last cascade increment for a box-seeded cascade
+    short of its fixed point (callers should check phi.converged), and O(1)
+    for samples refined from another filter.
     """
     if system.n != phi.n:
         raise ValueError("grid incompatibility between system and samples")
     if phi.level < 1:
         raise ValueError("intertwining check needs at least one cascade level")
+    if not xi:
+        return 0.0
     root = math.sqrt(system.n)
-    diff = synthesize_W({k: complex(c) / root for k, c in xi.items()}, _refinement_defect(phi, system.filters[0]))
-    return float(np.max(np.abs(diff.values, out=diff.values).real))  # in place, sparing a second buffer
+    defect = _refinement_defect(phi, system.filters[0]).values
+    stride = phi.n**phi.level
+    keys = sorted(xi)
+    starts = [(k - keys[0]) * stride for k in keys]
+    blocks = _sum_blocks(defect, starts, [complex(xi[k]) / root for k in keys], starts[-1] + len(defect))
+    return max(float(np.max(np.abs(sums))) for _, sums in blocks)
 
 
 def orthonormality_check(phi: ScalingFunctionSamples, k_range: int) -> float:

@@ -7,7 +7,9 @@ commutation constraints, loop algebra is entrywise np.convolve on the
 coefficient arrays read out of LaurentPoly entries, the Cuntz relations are
 full dense matrix products, the intertwining identity is synthesized
 on the whole fine grid, the cascade, generator and synthesis samples are
-summed one clipped slice per filter tap or sequence entry, the corner
+summed one clipped slice per filter tap or sequence entry, or all in
+complex arithmetic by one complex translate-sum, null spaces come from
+the full SVD, the corner
 witness is re-checked with one LaurentPoly subtraction per component,
 decimation is read one coefficient at a time, and evaluation is a Horner
 loop over Python or numpy values.
@@ -499,3 +501,95 @@ def loop_synthesis(xi: dict, phi) -> tuple[int, np.ndarray]:
         lo = (k - k_min) * stride
         values[lo : lo + len(phi.values)] += complex(xi[k]) * phi.values
     return k_min * stride, values
+
+
+# -- The wavelet layer in complex arithmetic throughout -------------------------
+
+
+def complex_translate_sum(v: np.ndarray, starts, weights, length: int | None = None) -> np.ndarray:
+    """sum_j weights[j] v[. - starts[j]] for starts >= 0, each product
+    complex(w) * v formed and added in order into complex zeros of the given
+    length (default max(starts) + len(v)), 2^15 samples per slice-add."""
+    v = np.asarray(v, dtype=complex)
+    out = np.zeros(max(starts, default=0) + len(v) if length is None else length, dtype=complex)
+    for s, w in zip(starts, weights):
+        for lo in range(0, len(v), 1 << 15):
+            block = v[lo : lo + (1 << 15)]
+            out[s + lo : s + lo + len(block)] += complex(w) * block
+    return out
+
+
+def _complex_filter_sum(v, f: LaurentPoly, n: int, stride: int, length: int | None = None) -> np.ndarray:
+    return complex_translate_sum(v, [t * stride for t in range(len(f.coeffs))], [n * c for c in f.coeffs], length)
+
+
+def complex_cascade(m0: LaurentPoly, n: int, seed: np.ndarray, level: int) -> list[np.ndarray]:
+    """The iterates phi_1 .. phi_level from the level-0 samples ``seed``,
+    each one refinement step in complex arithmetic."""
+    lowpass = LaurentPoly(0, m0.coeffs)
+    iterates, phi = [], seed
+    for t in range(level):
+        phi = _complex_filter_sum(phi, lowpass, n, n**t)
+        iterates.append(phi)
+    return iterates
+
+
+def complex_wavelets(system: FilterSystem, phi) -> tuple[int, np.ndarray]:
+    """(start index, rows) of psi_i = N sum_k b_k phi(N x - k), each row one
+    complex translate-sum placed at its generator's valuation."""
+    n = system.n
+    stride = n**phi.level
+    gens = system.filters[1:]
+    start = min(g.valuation for g in gens) * stride
+    width = max(g.degree for g in gens) * stride + len(phi.values) - start
+    values = np.zeros((n - 1, width), dtype=complex)
+    for i, g in enumerate(gens):
+        offset = g.valuation * stride - start
+        values[i, offset:] = _complex_filter_sum(phi.values, g, n, stride, width - offset)
+    return start, values
+
+
+def complex_synthesis(xi: dict, phi) -> tuple[int, np.ndarray]:
+    """(start index, samples) of sum_k xi_k phi(x - k), one complex translate-sum."""
+    stride = phi.n**phi.level
+    keys = sorted(xi)
+    return keys[0] * stride, complex_translate_sum(phi.values, [(k - keys[0]) * stride for k in keys], [xi[k] for k in keys])
+
+
+def complex_defect(phi, a: LaurentPoly) -> np.ndarray:
+    """D[m] = fine[m] - N sum_t a_t coarse[m - t N^(level-1)] from the index
+    min(0, valuation(a) N^(level-1)), formed as -refined + fine in complex
+    arithmetic."""
+    n, fine = phi.n, phi.values
+    step = n ** (phi.level - 1)
+    coarse = fine[::n]
+    lo = min(0, a.valuation * step)
+    defect = np.zeros(max(a.degree * step + len(coarse), len(fine)) - lo, dtype=complex)
+    offset = a.valuation * step - lo
+    defect[offset:] = _complex_filter_sum(coarse, a, n, step, len(defect) - offset)
+    defect = -defect
+    defect[-lo : len(fine) - lo] += fine
+    return defect
+
+
+def complex_intertwine_residual(system: FilterSystem, phi, xi: dict) -> float:
+    """max |N^-1/2 sum_k xi_k D[. - k N^level]| with D the refinement defect
+    against the system's m_0, synthesized whole in complex arithmetic."""
+    if not xi:
+        return 0.0
+    defect = complex_defect(phi, system.filters[0])
+    stride = phi.n**phi.level
+    keys = sorted(xi)
+    root = math.sqrt(system.n)
+    diff = complex_translate_sum(defect, [(k - keys[0]) * stride for k in keys], [complex(xi[k]) / root for k in keys])
+    return float(np.max(np.abs(diff)))
+
+
+def full_svd_null_space(mat: np.ndarray, ambient_dim: int, rank_tol: float) -> np.ndarray:
+    """Null-space basis (columns) from the full SVD: the rows of vh past the
+    rank, the rank counted against rank_tol * max(1, largest singular value)."""
+    if mat.size == 0:
+        return np.eye(ambient_dim, dtype=complex)
+    _, svals, vh = np.linalg.svd(mat, full_matrices=True)
+    rank = int(np.count_nonzero(svals > rank_tol * max(1.0, svals[0] if svals.size else 0.0)))
+    return vh[rank:].conj().T

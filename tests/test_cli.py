@@ -14,6 +14,8 @@ import loopwave
 from loopwave import cuntz_rep, fileio
 from loopwave.cli import main
 
+from conftest import seeded_lowpass_system
+
 ROOT2 = math.sqrt(2.0)
 
 
@@ -410,6 +412,54 @@ class TestMemoryError:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert err.count("\n") == 1
+
+
+class TestCascadeBudget:
+    """``cascade --iters`` is refused with exit 2, before anything is
+    allocated, when phi and the psi rows would exceed the sample budget."""
+
+    @staticmethod
+    def _first_level_over(system):
+        from loopwave.cli import CASCADE_SAMPLE_BUDGET
+        from loopwave.wavelet import cascade_samples
+
+        level = 0
+        while cascade_samples(system, level) <= CASCADE_SAMPLE_BUDGET:
+            level += 1
+        return level
+
+    @pytest.mark.parametrize("make", [haar_system, daubechies4_system, lambda: seeded_lowpass_system(3, 2, 4)], ids=["haar", "d4", "N=3 low-pass"])
+    def test_just_over_the_budget_allocates_nothing(self, make, tmp_path, capsys):
+        import tracemalloc
+
+        path = tmp_path / "filters.json"
+        fileio.save_filter_file(path, make())
+        iters = self._first_level_over(make())
+        out = tmp_path / "phi.csv"
+        tracemalloc.start()
+        try:
+            code = main(["cascade", str(path), "--iters", str(iters), "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 1 << 20
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --iters {iters} needs about ") and err.count("\n") == 1
+
+    def test_astronomical_iters(self, d4_path, tmp_path, capsys):
+        assert main(["cascade", d4_path, "--iters", str(10**9), "--out", str(tmp_path / "x.csv")]) == 2
+        assert "needs about inf samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("make", [haar_system, daubechies4_system, lambda: seeded_lowpass_system(3, 2, 4)], ids=["haar", "d4", "N=3 low-pass"])
+    def test_estimate_counts_the_samples(self, make):
+        from loopwave.wavelet import cascade, cascade_samples, wavelets
+
+        system = make()
+        for level in range(0, 6):
+            phi = cascade(system.filters[0], system.n, level)
+            assert cascade_samples(system, level) == phi.values.size + wavelets(system, phi).values.size
 
 
 class TestEnvironmentTolerance:

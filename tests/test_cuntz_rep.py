@@ -404,6 +404,60 @@ class TestAgainstDenseOracles:
             reconstruct(rep, f)
 
 
+class TestWindowStorage:
+    """build_rep keeps the column windows; the dense matrices are built only
+    when rep.S is read, and no check reads them.  adjoint_apply is the dense
+    product with rep.S, as it always was."""
+
+    @pytest.mark.parametrize("name", ORACLE_SYSTEMS)
+    def test_dense_view_on_first_read(self, name):
+        system = ORACLE_SYSTEMS[name]
+        rep = build_rep(system, Band(-5, 7))
+        out, mats = dense_weighted_shifts(system, Band(-5, 7))
+        first = rep.S
+        assert rep.S is first
+        for s, m in zip(first, mats):
+            assert not s.flags.writeable and np.array_equal(s, m)
+            with pytest.raises(ValueError):
+                s[0, 0] = 1.0
+        windows, rows = rep.windows
+        assert not windows.flags.writeable and not rows.flags.writeable
+
+    @pytest.mark.parametrize("name", ["d4", "N3 deg2", "N8 deg2", "d4 z^-3"])
+    def test_checks_never_read_the_dense_view(self, name, monkeypatch):
+        rep = build_rep(ORACLE_SYSTEMS[name], Band(-6, 6))
+        other = build_rep(ORACLE_SYSTEMS["haar" if rep.n == 2 else name], Band(-6, 6))
+        f = np.zeros(rep.out_band.size, dtype=complex)
+        inner = interior_band(rep)
+        f[inner.k_min - rep.out_band.k_min] = 1.0
+
+        def no_dense(self):
+            raise AssertionError("dense matrices read")
+
+        monkeypatch.setattr(TruncatedRep, "S", property(no_dense))
+        verify_cuntz(rep)
+        reconstruct(rep, f)
+        transition_operator_matrix(rep, other)
+        transition_operator_matrix(other, rep)
+
+    @pytest.mark.parametrize("name", ORACLE_SYSTEMS)
+    def test_windows_read_from_dense_matrices(self, name):
+        rep = build_rep(ORACLE_SYSTEMS[name], Band(-4, 3))
+        dense = TruncatedRep(system=rep.system, in_band=rep.in_band, out_band=rep.out_band, S=rep.S)
+        for mine, read in zip(rep.windows, dense.windows):
+            assert np.array_equal(mine, read)
+
+    @pytest.mark.parametrize("name", ORACLE_SYSTEMS)
+    def test_adjoint_apply_is_the_dense_product(self, name):
+        rng = np.random.default_rng(11)
+        system = ORACLE_SYSTEMS[name]
+        rep = build_rep(system, Band(-7, 9))
+        _, mats = dense_weighted_shifts(system, Band(-7, 9))
+        f = random_vector(rep.out_band.size, rng)
+        for i, s in enumerate(mats):
+            assert adjoint_apply(rep, i, f).tobytes() == (s.conj().T @ f).tobytes()
+
+
 class TestOutermostLags:
     """Hand-built models whose largest residual sits at the outermost lag of
     a banded product, so that a lag range stopping one short shows."""

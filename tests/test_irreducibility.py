@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import seeded_loop
-from helpers import brute_corner_n2, laurent_witness_residual
+from helpers import brute_corner_n2, full_svd_null_space, laurent_witness_residual
 from loopwave import (
     LaurentPoly,
     MatrixLaurent,
@@ -19,7 +19,9 @@ from loopwave.irreducibility import (
     EQUAL_MODULO_CORNER,
     INEQUIVALENT,
     IRREDUCIBLE,
+    RANK_TOL,
     REDUCIBLE,
+    _null_space,
     _verify_witness,
 )
 from loopwave.laurent import TRIM_TOL
@@ -72,6 +74,30 @@ class TestGradedKernels:
         loop = Loop(MatrixLaurent.from_tensor(0, tensor), certified=True)
         with pytest.raises(RuntimeError, match="K_0 and K_1 are not orthogonal"):
             graded_kernels(loop)
+
+
+class TestNullSpace:
+    """Tall and square inputs take the thin SVD; the bases must be those of
+    the full SVD, bit for bit."""
+
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (3, 3), (8, 4), (64, 16), (2, 5), (4, 16)])
+    def test_against_full_svd(self, rows, cols):
+        rng = np.random.default_rng(rows * 100 + cols)
+        for rank in sorted({0, 1, min(rows, cols) // 2, min(rows, cols)}):
+            x = rng.standard_normal((rows, rank)) + 1j * rng.standard_normal((rows, rank))
+            y = rng.standard_normal((rank, cols)) + 1j * rng.standard_normal((rank, cols))
+            mat = x @ y
+            basis = _null_space(mat, cols)
+            assert basis.shape == (cols, cols - rank)
+            assert np.array_equal(basis, full_svd_null_space(mat, cols, RANK_TOL))
+
+    @pytest.mark.parametrize("n, degree, seed", [(2, 1, 0), (2, 4, 1), (3, 2, 2), (4, 3, 3), (8, 2, 4), (16, 1, 5)])
+    def test_graded_kernel_inputs(self, n, degree, seed):
+        loop = seeded_loop(n, degree, seed)
+        tensor = loop.mat.tensor
+        for lag in range(len(tensor)):
+            others = np.delete(tensor, lag, axis=0).reshape(-1, n)
+            assert np.array_equal(_null_space(others, n), full_svd_null_space(others, n, RANK_TOL))
 
 
 class TestDetectCorner:

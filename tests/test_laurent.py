@@ -203,6 +203,25 @@ class TestCanonicalization:
         with pytest.raises(ValueError):
             LaurentPoly(0, (complex(1, float("inf")),))
 
+    def test_array_input_matches_sequence_input(self):
+        rng = np.random.default_rng(21)
+        for c in [
+            rng.standard_normal(6) + 1j * rng.standard_normal(6),
+            rng.standard_normal(5),  # float array
+            np.array([0.0, -0.0, 1.0, 2j, 0.0]),
+            np.arange(4),  # integer array
+            (rng.standard_normal((4, 3)) + 0j)[:, 1],  # strided column, as unstack passes it
+            np.zeros(0),
+        ]:
+            p, q = LaurentPoly(-2, c), LaurentPoly(-2, [complex(x) for x in c])
+            assert p == q and (p.offset, p.coeffs) == (q.offset, q.coeffs)
+            assert all(type(x) is complex for x in p.coeffs)
+
+    def test_array_input_rejects_non_finite(self):
+        for bad in (np.array([1.0, np.nan]), np.array([1.0, complex(0, np.inf)])):
+            with pytest.raises(ValueError, match="non-finite coefficient"):
+                LaurentPoly(0, bad)
+
 
 class TestMatrix:
     def test_identity_is_neutral(self):

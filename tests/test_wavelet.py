@@ -22,10 +22,17 @@ from loopwave import (
     synthesize_W,
     wavelets,
 )
+from loopwave import wavelet
 from loopwave.wavelet import refinement_residual
 
 from conftest import seeded_lowpass_system
 from helpers import (
+    complex_cascade,
+    complex_defect,
+    complex_intertwine_residual,
+    complex_synthesis,
+    complex_translate_sum,
+    complex_wavelets,
     dense_intertwine_residual,
     gather_refinement_residual,
     loop_cascade,
@@ -340,6 +347,110 @@ class TestLoopOracles:
         start, values = loop_synthesis(xi, phi)
         assert w.start_index == start
         assert np.array_equal(w.values, values)
+
+
+#: name -> (system, levels) for the complex-arithmetic oracles; the deepest
+#: level of each gives outputs longer than one summing block.
+COMPLEX_ORACLE_SYSTEMS = {
+    "haar": (haar_system, [1, 4, 16]),
+    "d4": (daubechies4_system, [1, 6, 14]),
+    "N=3 box": (_box3_system, [1, 3, 9]),
+    "(1+z^3)/2": (_spread_box_system, [1, 5, 13]),
+    "N=3 low-pass": (_n3_lowpass, [1, 4, 9]),
+    "N=4 low-pass": (lambda: seeded_lowpass_system(4, 2, 7), [1, 3, 7]),
+    "complex generator": (_complex_generator_system, [1, 6, 15]),
+    "d4 z^-3": (_shifted(daubechies4_system, -3), [2, 14]),
+}
+
+COMPLEX_ORACLE_XI = [
+    {0: 1.0},
+    {-1: 0.5, 2: -2.0},  # real weights
+    {-2: 1j, 1: 0.25 - 0.5j, 3: 0.0},
+]
+
+
+@pytest.mark.parametrize("case", COMPLEX_ORACLE_SYSTEMS)
+class TestComplexOracle:
+    """Real taps on real samples sum in float64 and a complex weight on real
+    samples sums its two parts apart; every public result must still have
+    the bits of the same sums taken in complex arithmetic, as the oracles
+    in tests/helpers.py take them."""
+
+    def test_cascade(self, case):
+        make, levels = COMPLEX_ORACLE_SYSTEMS[case]
+        system = make()
+        m0, n = system.filters[0], system.n
+        seed = cascade(m0, n, 0).values
+        iterates = complex_cascade(m0, n, seed, max(levels))
+        for level in levels:
+            phi = cascade(m0, n, level)
+            assert phi.values.dtype == np.complex128 and not phi.values.flags.writeable
+            assert np.array_equal(phi.values, iterates[level - 1])
+
+    def test_wavelets_and_synthesis(self, case):
+        make, levels = COMPLEX_ORACLE_SYSTEMS[case]
+        system = make()
+        for level in levels:
+            phi = cascade(system.filters[0], system.n, level)
+            psi = wavelets(system, phi)
+            start, values = complex_wavelets(system, phi)
+            assert psi.values.dtype == np.complex128
+            assert psi.start_index == start and np.array_equal(psi.values, values)
+            for xi in COMPLEX_ORACLE_XI:
+                w = synthesize_W(xi, phi)
+                start, values = complex_synthesis(xi, phi)
+                assert w.values.dtype == np.complex128
+                assert w.start_index == start and np.array_equal(w.values, values)
+
+    def test_refinement_and_intertwining(self, case):
+        make, levels = COMPLEX_ORACLE_SYSTEMS[case]
+        system = make()
+        for level in levels:
+            phi = cascade(system.filters[0], system.n, level)
+            assert refinement_residual(phi) == float(np.max(np.abs(complex_defect(phi, phi.lowpass))))
+            for xi in COMPLEX_ORACLE_XI + [{}]:
+                assert check_intertwine(system, phi, xi) == complex_intertwine_residual(system, phi, xi)
+
+
+@pytest.mark.parametrize("length", [1, 7, wavelet._BLOCK - 1, wavelet._BLOCK, wavelet._BLOCK + 1, 3 * wavelet._BLOCK + 5])
+@pytest.mark.parametrize("kind", ["real", "real samples, complex weights", "complex samples, real weights", "complex"])
+def test_translate_sum_matches_complex_sum(length, kind):
+    rng = np.random.default_rng(length)
+    v = rng.standard_normal(max(1, length // 3))
+    v[::5] = 0.0  # zero products, whose signs must not show
+    weights = list(rng.standard_normal(4))
+    if kind.startswith("complex samples") or kind == "complex":
+        v = v + 1j * rng.standard_normal(len(v))
+    if kind.endswith("complex weights") or kind == "complex":
+        weights = [w + 1j * rng.standard_normal() for w in weights]
+    weights[1] = 0.0
+    starts = sorted(int(s) for s in rng.integers(0, length - len(v) + 1, size=4))
+    out = np.empty(length, dtype=complex)
+    wavelet._translate_sum(v, starts, weights, out)
+    assert out.tobytes() == complex_translate_sum(v, starts, weights, length).tobytes()
+
+
+def test_sum_blocks_skips_blocks_no_translate_reaches():
+    block = wavelet._BLOCK
+    v = np.ones(block // 2)
+    starts = [block // 4, 7 * block + block // 8, 7 * block + 3 * block // 8]
+    assert [j for j, _ in wavelet._sum_blocks(v, starts, [1.0, 2.0, 3.0], 9 * block)] == [0, 7 * block]
+    out = np.full(9 * block, np.nan, dtype=complex)
+    wavelet._translate_sum(v, starts, [1.0, 2.0, 3.0], out)
+    assert out.tobytes() == complex_translate_sum(v, starts, [1.0, 2.0, 3.0], 9 * block).tobytes()
+
+
+@pytest.mark.parametrize("level", [4, 14])
+def test_intertwine_with_keys_far_apart(level):
+    # The defect reaches a few lattice steps, so keys 10 apart do not
+    # overlap, and keys 10^9 apart give the same residual without summing
+    # the gap between them.
+    system = daubechies4_system()
+    phi = cascade(system.filters[0], 2, level)
+    for weight in (1.0, 0.5 - 2j):
+        near = check_intertwine(system, phi, {0: 1.0, 10: weight})
+        assert check_intertwine(system, phi, {0: 1.0, 10**9: weight}) == near
+        assert near == complex_intertwine_residual(system, phi, {0: 1.0, 10: weight})
 
 
 class TestOrthonormality:
