@@ -3,12 +3,14 @@
 Exit codes: 0 = pass, 1 = mathematical failure (verification, paraunitarity,
 low-pass, ...), 2 = I/O or format error, or a request too large for memory.
 The LOOPWAVE_TOL environment variable overrides the default tolerance of
-every command that takes --tol.
+every command that takes --tol; it is read on every ``main()`` call, and
+``main()`` may be called any number of times in one process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import cuntz_rep, fileio, irreducibility, qmf, wavelet
 from .fileio import FileFormatError
-from .laurent import MatrixLaurent
+from .laurent import MatrixLaurent, stack
 from .loopgroup import FilterSystem, Loop, filters_to_loop, loop_to_filters, polyphase_matrix
 
 PASS, FAIL, USAGE = 0, 1, 2
@@ -30,6 +32,18 @@ CSV_CHUNK_ROWS = 4096
 #: Most samples, phi and every psi together, that ``cascade`` computes:
 #: 2^26 complex samples take 1 GiB.
 CASCADE_SAMPLE_BUDGET = 1 << 26
+
+#: Most grid values that ``verify`` (N per grid point) and ``complete``
+#: (N^2 per grid point, each written as a JSON pair in grid mode) compute: 2^21
+#: complex values take 32 MiB as an array, and about 700 MB while complete
+#: builds its JSON (about 330 bytes a value).
+GRID_VALUE_BUDGET = 1 << 21
+
+#: Most entries of the Cuntz model that ``cuntz-check --band B`` (its column
+#: windows, N L (2B + 1) for L filter taps) and ``commutant --band B`` (its
+#: dense matrices, N (2 N B + L) (2B + 1)) compute: 2^24 complex
+#: entries take 256 MiB.
+BAND_ENTRY_BUDGET = 1 << 24
 
 
 def _default_tol(fallback: float = 1e-10) -> float:
@@ -77,14 +91,44 @@ class _MathFailure(Exception):
     """Command-level mathematical failure; maps to exit code 1."""
 
 
+class _OverBudget(Exception):
+    """A size input whose estimate exceeds its budget; maps to exit code 2."""
+
+
+def _check_budget(option: str, value: int, need: float, unit: str, budget: int) -> None:
+    """Refuse, before anything is allocated, a size input that needs more
+    than budget units."""
+    if need > budget:
+        raise _OverBudget(
+            f"{option} {value} needs about {need:.3g} {unit}, over the budget of {budget}; reduce {option}"
+        )
+
+
 def _cells(values: np.ndarray) -> list[str]:
     """CSV cells of a sample column: the real part when the imaginary part is
-    at most 1e-12, else the complex value."""
-    real = list(map(repr, np.real(values).tolist()))
+    at most 1e-12, else the complex value.
+
+    A complex cell is built from its real part's repr as CPython's
+    ``complex_repr`` builds ``repr(complex)``, so each float is formatted
+    once: ``{im}j`` when the real part is +0.0, else ``({re}{+-im}j)``,
+    each part without a trailing ".0" and the imaginary part signed.
+    """
+    cells = list(map(repr, np.real(values).tolist()))
     is_real = np.abs(np.imag(values)) <= 1e-12
     if is_real.all():
-        return real
-    return [r if ok else repr(c) for r, ok, c in zip(real, is_real.tolist(), values.tolist())]
+        return cells
+    where = np.flatnonzero(~is_real)
+    for k, im in zip(where.tolist(), map(repr, np.imag(values)[where].tolist())):
+        re = cells[k]
+        if im.endswith(".0"):
+            im = im[:-2]
+        if re == "0.0":
+            cells[k] = im + "j"
+        else:
+            if re.endswith(".0"):
+                re = re[:-2]
+            cells[k] = "(" + re + ("" if im[0] == "-" else "+") + im + "j)"
+    return cells
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -92,6 +136,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     assert isinstance(loaded, FilterSystem)
     # Resolved here for the same reason as in qmf.certify.
     grid = qmf.default_grid(loaded.n) if args.grid is None else args.grid
+    _check_budget("--grid", grid, grid * loaded.n, "grid values", GRID_VALUE_BUDGET)
     report = qmf.verify_qmf(loaded, tol=args.tol, grid_size=grid)
     _emit(
         {
@@ -169,13 +214,7 @@ def cmd_cascade(args: argparse.Namespace) -> int:
     loaded = fileio.load_filter_file(args.path)
     assert isinstance(loaded, FilterSystem)
     samples = wavelet.cascade_samples(loaded, args.iters)
-    if samples > CASCADE_SAMPLE_BUDGET:
-        print(
-            f"error: --iters {args.iters} needs about {samples:.3g} samples, over the budget of "
-            f"{CASCADE_SAMPLE_BUDGET}; reduce --iters",
-            file=sys.stderr,
-        )
-        return USAGE
+    _check_budget("--iters", args.iters, samples, "samples", CASCADE_SAMPLE_BUDGET)
     system = qmf.certify(loaded, tol=args.tol)
     phi = wavelet.cascade(system.filters[0], system.n, args.iters, tol=args.tol)
     psi = wavelet.wavelets(system, phi)
@@ -197,7 +236,7 @@ def cmd_cascade(args: argparse.Namespace) -> int:
                 col = np.zeros(len(index), dtype=psi.values.dtype)
                 col[inside] = psi.values[g, fine[inside]]
                 columns.append(_cells(col))
-            fh.write("\r\n".join(",".join(cells) for cells in zip(*columns)) + "\r\n")
+            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
     print(
         f"wrote {args.out} ({len(phi.values)} rows, seed={phi.seed}, "
         f"converged={phi.converged}, last_delta={phi.last_delta:.3e})"
@@ -207,6 +246,8 @@ def cmd_cascade(args: argparse.Namespace) -> int:
 
 def cmd_cuntz_check(args: argparse.Namespace) -> int:
     system = _load_system(args.path, args.tol)
+    taps = len(stack(system.filters)[1])
+    _check_budget("--band", args.band, system.n * taps * (2 * args.band + 1), "entries", BAND_ENTRY_BUDGET)
     rep = cuntz_rep.build_rep(system, cuntz_rep.Band(-args.band, args.band))
     report = cuntz_rep.verify_cuntz(rep)
     interior = report.interior
@@ -236,8 +277,11 @@ def cmd_complete(args: argparse.Namespace) -> int:
     assert isinstance(loaded, tuple)
     n, polys = loaded
     m0 = polys[0]
+    # fir2 verifies its result on the grid: N values a point, counted as N^2.
+    grid = qmf.default_grid(n) if args.grid is None else args.grid
+    _check_budget("--grid", grid, grid * n * n, "grid values", GRID_VALUE_BUDGET)
     try:
-        result = qmf.complete(m0, n, mode=args.mode, grid_size=args.grid, tol=args.tol)
+        result = qmf.complete(m0, n, mode=args.mode, grid_size=grid, tol=args.tol)
     except ValueError as exc:
         raise _MathFailure(f"{args.path}: {exc}") from exc
     if isinstance(result, FilterSystem):
@@ -264,7 +308,13 @@ def cmd_complete(args: argparse.Namespace) -> int:
 
 def cmd_commutant(args: argparse.Namespace) -> int:
     system = _load_system(args.path, args.tol)
-    band = cuntz_rep.attractor_band(system) if args.band is None else cuntz_rep.Band(-args.band, args.band)
+    if args.band is None:
+        band = cuntz_rep.attractor_band(system)
+    else:
+        taps = len(stack(system.filters)[1])
+        dense = system.n * (2 * system.n * args.band + taps) * (2 * args.band + 1)
+        _check_budget("--band", args.band, dense, "entries", BAND_ENTRY_BUDGET)
+        band = cuntz_rep.Band(-args.band, args.band)
     report = cuntz_rep.commutant_diagnostic(cuntz_rep.build_rep(system, band), tol=args.commutant_tol)
     svals = np.array2string(report.singular_values[:16], precision=3, separator=", ")
     _emit(
@@ -286,11 +336,12 @@ def build_parser() -> argparse.ArgumentParser:
         "verify, convert, classify, synthesize.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    tol = _default_tol()
+    # --tol has no default here: main() fills in LOOPWAVE_TOL or 1e-10 on
+    # every call, so that one parser serves every call of a process.
 
     p = sub.add_parser("verify", help="QMF verification report for a filter file")
     p.add_argument("path")
-    p.add_argument("--tol", type=float, default=tol)
+    p.add_argument("--tol", type=float)
     p.add_argument("--grid", type=int, default=None, help="default: the smallest multiple of N at or above 256")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
@@ -299,12 +350,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--to", choices=["loop", "filters"], required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--tol", type=float, default=tol)
+    p.add_argument("--tol", type=float)
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("classify", help="irreducibility verdict for a loop or filter file")
     p.add_argument("path")
-    p.add_argument("--tol", type=float, default=tol)
+    p.add_argument("--tol", type=float)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_classify)
 
@@ -312,20 +363,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--iters", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--tol", type=float, default=tol)
+    p.add_argument("--tol", type=float)
     p.set_defaults(func=cmd_cascade)
 
     p = sub.add_parser("cuntz-check", help="isometry/completeness residuals on a band")
     p.add_argument("path")
     p.add_argument("--band", type=int, required=True)
-    p.add_argument("--tol", type=float, default=tol)
+    p.add_argument("--tol", type=float)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_cuntz_check)
 
     p = sub.add_parser("equiv", help="compare two loops modulo monomial corners")
     p.add_argument("path_a")
     p.add_argument("path_b")
-    p.add_argument("--tol", type=float, default=tol)
+    p.add_argument("--tol", type=float)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_equiv)
 
@@ -334,13 +385,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["fir2", "grid"], default="fir2")
     p.add_argument("--grid", type=int, default=None, help="default: the smallest multiple of N at or above 256")
     p.add_argument("--out", required=True)
-    p.add_argument("--tol", type=float, default=tol)
+    p.add_argument("--tol", type=float)
     p.set_defaults(func=cmd_complete)
 
     p = sub.add_parser("commutant", help="commutant dimension, exact on the attractor band")
     p.add_argument("path")
     p.add_argument("--band", type=int, default=None, help="input band [-B, B]; default: the attractor band K")
-    p.add_argument("--tol", type=float, default=tol)
+    p.add_argument("--tol", type=float)
     p.add_argument("--commutant-tol", type=float, default=1e-6, dest="commutant_tol")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_commutant)
@@ -348,12 +399,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built on the first main() call and kept for the process."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        tol = _default_tol()  # read first, so a bad LOOPWAVE_TOL exits 2 even with --tol
+        args = _parser().parse_args(argv)
+        if args.tol is None:
+            args.tol = tol
         return args.func(args)
-    except FileFormatError as exc:
+    except (FileFormatError, _OverBudget) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except _MathFailure as exc:

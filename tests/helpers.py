@@ -9,7 +9,7 @@ full dense matrix products, the intertwining identity is synthesized
 on the whole fine grid, the cascade, generator and synthesis samples are
 summed one clipped slice per filter tap or sequence entry, or all in
 complex arithmetic by one complex translate-sum, null spaces come from
-the full SVD, the corner
+the full SVD, CSV cells are one ``repr`` of each value, the corner
 witness is re-checked with one LaurentPoly subtraction per component,
 decimation is read one coefficient at a time, and evaluation is a Horner
 loop over Python or numpy values.
@@ -19,6 +19,8 @@ dumb.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
 
@@ -593,3 +595,34 @@ def full_svd_null_space(mat: np.ndarray, ambient_dim: int, rank_tol: float) -> n
     _, svals, vh = np.linalg.svd(mat, full_matrices=True)
     rank = int(np.count_nonzero(svals > rank_tol * max(1.0, svals[0] if svals.size else 0.0)))
     return vh[rank:].conj().T
+
+
+# -- Cascade CSV, one repr per cell and one csv.writer row per sample -----------
+
+
+def repr_cells(values: np.ndarray) -> list[str]:
+    """CSV cells of a sample column: repr of the real part when the
+    imaginary part is at most 1e-12, else repr of the complex value."""
+    real = list(map(repr, np.real(values).tolist()))
+    is_real = np.abs(np.imag(values)) <= 1e-12
+    if is_real.all():
+        return real
+    return [r if ok else repr(c) for r, ok, c in zip(real, is_real.tolist(), values.tolist())]
+
+
+def cascade_csv_bytes(phi, psi, n: int) -> bytes:
+    """The cascade CSV written row by row with csv.writer: x, phi and each
+    psi_i at its fine index i N - start (0 off its support)."""
+    columns = [repr_cells(np.arange(len(phi.values)) * phi.step), repr_cells(phi.values)]
+    for g in range(n - 1):
+        col = np.zeros(len(phi.values), dtype=psi.values.dtype)
+        for i in range(len(col)):
+            fine = i * n - psi.start_index
+            if 0 <= fine < psi.values.shape[1]:
+                col[i] = psi.values[g, fine]
+        columns.append(repr_cells(col))
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(["x", "phi"] + [f"psi_{i}" for i in range(1, n)])
+    writer.writerows(zip(*columns))
+    return out.getvalue().encode()

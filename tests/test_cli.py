@@ -11,10 +11,11 @@ import pytest
 
 from loopwave import FilterSystem, LaurentPoly, MatrixLaurent, base_system, daubechies4_system, haar_system
 import loopwave
-from loopwave import cuntz_rep, fileio
+from loopwave import cli, cuntz_rep, fileio
 from loopwave.cli import main
 
 from conftest import seeded_lowpass_system
+from helpers import cascade_csv_bytes, repr_cells
 
 ROOT2 = math.sqrt(2.0)
 
@@ -272,6 +273,55 @@ class TestCascadeCsvBytes:
         assert hashlib.sha256(data).hexdigest() == "d88fea3f729afc075ac53c44f7962e37dbb85aa50f38bcff460b94cff96d1841"
 
 
+class TestCsvCells:
+    """Each CSV cell equals one repr of its value: the real part's when the
+    imaginary part is at most 1e-12, else the complex value's."""
+
+    ABOVE = float(np.nextafter(1e-12, 1.0))
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [complex(0.0, 1.0), complex(0.0, -0.5), complex(-0.0, 1.0), complex(-0.0, -2.5), complex(0.0, 1e-5)],
+            [complex(1.0, 2.0), complex(-0.0, 3.0), complex(1.0, -1.0), complex(-4.0, 100.0), complex(12.0, 0.0)],
+            [complex(0.5, 1e-12), complex(0.5, -1e-12), complex(0.5, ABOVE), complex(0.5, -ABOVE), complex(0.0, ABOVE), complex(-0.0, -ABOVE)],
+            [complex(1e16, 1.0), complex(1.0, 1e16), complex(1e-5, -1e-5), complex(1e-300, 1e300), complex(-1e300, -1e-300)],
+            [complex(0.0, math.nan), complex(1.0, math.nan), complex(-2.0, math.inf), complex(0.0, -math.inf), complex(3.0, -math.inf)],
+            [complex(math.nan, 1.0), complex(-math.inf, 0.0), complex(1.5e15, -2.0), complex(123456789.0, 0.25)],
+        ],
+        ids=["zero-real", "integral", "imag-threshold", "magnitudes", "nan-inf-imag", "nan-inf-real"],
+    )
+    def test_matches_repr(self, values):
+        column = np.array(values, dtype=complex)
+        assert cli._cells(column) == repr_cells(column)
+
+    def test_seeded_columns(self):
+        rng = np.random.default_rng(13)
+        column = rng.standard_normal(500) * 10.0 ** rng.integers(-20, 20, 500) + 1j * rng.standard_normal(500)
+        column[::3] = column[::3].real
+        column[::5] = 1j * column[::5].imag
+        column[::7] = np.round(column[::7].real) + 1j * np.round(column[::7].imag)
+        assert cli._cells(column) == repr_cells(column)
+        assert cli._cells(column.real) == repr_cells(column.real)
+
+    @pytest.mark.parametrize("n, degree, seed, iters", [(2, 2, 3, 11), (4, 2, 5, 6)], ids=["N=2", "N=4"])
+    def test_complex_cascade_bytes(self, n, degree, seed, iters, tmp_path, capsys):
+        from loopwave import cascade, certify, wavelets
+        from loopwave.cli import CSV_CHUNK_ROWS
+
+        system = seeded_lowpass_system(n, degree, seed)
+        path = tmp_path / "lp.json"
+        fileio.save_filter_file(path, system)
+        out = tmp_path / "lp.csv"
+        assert main(["cascade", str(path), "--iters", str(iters), "--out", str(out)]) == 0
+        loaded = certify(fileio.load_filter_file(path))
+        phi = cascade(loaded.filters[0], n, iters)
+        assert len(phi.values) > 2 * CSV_CHUNK_ROWS
+        expected = cascade_csv_bytes(phi, wavelets(loaded, phi), n)
+        assert b"j)" in expected
+        assert out.read_bytes() == expected
+
+
 class TestInputParsedOnce:
     @pytest.mark.parametrize(
         "argv",
@@ -462,6 +512,127 @@ class TestCascadeBudget:
             assert cascade_samples(system, level) == phi.values.size + wavelets(system, phi).values.size
 
 
+def _first_over(need, budget: int, step: int = 1) -> int:
+    """The smallest positive multiple v of step with need(v) > budget, for
+    need increasing in v."""
+    hi = step
+    while need(hi) <= budget:
+        hi *= 2
+    lo = hi // 2 // step * step  # need(lo) <= budget, or lo = 0
+    while hi - lo > step:
+        mid = (lo + hi) // 2 // step * step
+        lo, hi = (mid, hi) if need(mid) <= budget else (lo, mid)
+    return hi
+
+
+def _taps(system) -> int:
+    """L, the length of the combined filter support."""
+    return max(f.offset + len(f.coeffs) for f in system.filters) - min(f.offset for f in system.filters)
+
+
+GUARDED_SYSTEMS = [haar_system, daubechies4_system, lambda: seeded_lowpass_system(3, 2, 4)]
+GUARDED_IDS = ["haar", "d4", "N=3 low-pass"]
+
+
+class TestSizeGuards:
+    """``--grid`` and ``--band`` are refused with exit 2, before anything is
+    allocated, when the arrays they size would exceed their budgets."""
+
+    @staticmethod
+    def _refused(argv, option, value, out=None, capsys=None):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert peak < 1 << 20
+        assert out is None or not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {option} {value} needs about ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("make", GUARDED_SYSTEMS, ids=GUARDED_IDS)
+    def test_verify_grid(self, make, tmp_path, capsys):
+        from loopwave.cli import GRID_VALUE_BUDGET
+
+        system = make()
+        path = tmp_path / "filters.json"
+        fileio.save_filter_file(path, system)
+        n = system.n
+        grid = _first_over(lambda g: g * n, GRID_VALUE_BUDGET, step=n)
+        assert (grid - n) * n <= GRID_VALUE_BUDGET
+        self._refused(["verify", str(path), "--grid", str(grid)], "--grid", grid, capsys=capsys)
+
+    @pytest.mark.parametrize("mode", ["grid", "fir2"])
+    @pytest.mark.parametrize("make", GUARDED_SYSTEMS, ids=GUARDED_IDS)
+    def test_complete_grid(self, make, mode, tmp_path, capsys):
+        from loopwave.cli import GRID_VALUE_BUDGET
+
+        system = make()
+        path = tmp_path / "m0.json"
+        fileio.save_filter_file(path, system)
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, "filters": doc["filters"][:1]}))
+        n = system.n
+        grid = _first_over(lambda g: g * n * n, GRID_VALUE_BUDGET, step=n)
+        out = tmp_path / "sampled.json"
+        argv = ["complete", str(path), "--mode", mode, "--grid", str(grid), "--out", str(out)]
+        self._refused(argv, "--grid", grid, out, capsys)
+
+    @pytest.mark.parametrize("make", GUARDED_SYSTEMS, ids=GUARDED_IDS)
+    def test_cuntz_check_band(self, make, tmp_path, capsys):
+        from loopwave.cli import BAND_ENTRY_BUDGET
+
+        system = make()
+        path = tmp_path / "filters.json"
+        fileio.save_filter_file(path, system)
+        windows = system.n * _taps(system)
+        band = _first_over(lambda b: windows * (2 * b + 1), BAND_ENTRY_BUDGET)
+        self._refused(["cuntz-check", str(path), "--band", str(band)], "--band", band, capsys=capsys)
+
+    @pytest.mark.parametrize("make", GUARDED_SYSTEMS, ids=GUARDED_IDS)
+    def test_commutant_band(self, make, tmp_path, capsys):
+        from loopwave.cli import BAND_ENTRY_BUDGET
+
+        system = make()
+        path = tmp_path / "filters.json"
+        fileio.save_filter_file(path, system)
+        n, taps = system.n, _taps(system)
+        band = _first_over(lambda b: n * (2 * n * b + taps) * (2 * b + 1), BAND_ENTRY_BUDGET)
+        self._refused(["commutant", str(path), "--band", str(band)], "--band", band, capsys=capsys)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "{f}", "--grid", str(2 * 10**18)],
+            ["complete", "{f}", "--mode", "grid", "--grid", str(2 * 10**18), "--out", "{out}"],
+            ["cuntz-check", "{f}", "--band", str(10**18)],
+            ["commutant", "{f}", "--band", str(10**18)],
+        ],
+    )
+    def test_astronomical_values(self, argv, haar_path, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        assert main([a.format(f=haar_path, out=out) for a in argv]) == 2
+        assert "needs about " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("make", GUARDED_SYSTEMS, ids=GUARDED_IDS)
+    def test_estimates_count_the_entries(self, make):
+        from loopwave import complete
+
+        system = make()
+        n, taps = system.n, _taps(system)
+        for band in range(0, 4):
+            rep = cuntz_rep.build_rep(system, cuntz_rep.Band(-band, band))
+            assert rep.windows[0].size == n * taps * (2 * band + 1)
+            assert sum(s.size for s in rep.S) == n * (2 * n * band + taps) * (2 * band + 1)
+        for grid in (n, 4 * n):
+            assert complete(system.filters[0], n, mode="grid", grid_size=grid).values.size == grid * n * n
+
+
 class TestEnvironmentTolerance:
     def test_loopwave_tol_overrides_default(self, scaled_haar_path, monkeypatch, capsys):
         monkeypatch.setenv("LOOPWAVE_TOL", "2.0")
@@ -498,3 +669,80 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert "passed: True" in proc.stdout
+
+
+#: SHA-256 of each --help text at 80 columns, from the parser that was
+#: built on every call (argparse of Python 3.11).
+HELP_SHA256 = {
+    "": "16da2de7943b68342bb8094b68619f3c993be51516ac8d42927853513b0068d7",
+    "verify": "1fca48b337574faada5e2b7ec1aca86e8a07754cb10d7353289cbd1d5438c761",
+    "convert": "5c9ce63374665af98bb4fdc424a7e0b497cdf45c000ea4ff24a740a560e8fcdd",
+    "classify": "55a7a7e4bf8f4b45ad05dfedbc50a79dce6ce00bc80c36aab979cbcf474e39cc",
+    "cascade": "44b2033aacb3f529899b8c00f08bfe76544cc05c4c4e41d1b0ac26f753eb0251",
+    "cuntz-check": "2d83b4f528836ec568a18833948ed1760827ebb5aac3e94f6510aadfc65d0288",
+    "equiv": "ad8701566582ff73f594542dbd5c0bd9d6b50d2cb949d50cec2182cb2509bec1",
+    "complete": "a98175db07b9fd9ed741a7673ea75b4252eea1831335edd05d0a361790e883b5",
+    "commutant": "06031acb2ee636c34978ca70559c2020cba68f0f6e63d2f9ebede75e29c86e0b",
+}
+
+
+class TestCachedParser:
+    """One parser serves every main() call of a process; LOOPWAVE_TOL is
+    still read on each call."""
+
+    def test_tol_follows_each_call(self, scaled_haar_path, monkeypatch, capsys):
+        # residual 1.0: fails at the default tolerance, passes at 2.0
+        for env, tol, code in [(None, 1e-10, 1), ("2.0", 2.0, 0), (None, 1e-10, 1)]:
+            if env is None:
+                monkeypatch.delenv("LOOPWAVE_TOL", raising=False)
+            else:
+                monkeypatch.setenv("LOOPWAVE_TOL", env)
+            assert main(["verify", scaled_haar_path, "--json"]) == code
+            assert json.loads(capsys.readouterr().out)["tol"] == tol
+
+    def test_explicit_tol_beats_env(self, scaled_haar_path, monkeypatch, capsys):
+        monkeypatch.setenv("LOOPWAVE_TOL", "2.0")
+        assert main(["verify", scaled_haar_path, "--tol", "1e-8", "--json"]) == 1
+        assert json.loads(capsys.readouterr().out)["tol"] == 1e-8
+
+    def test_invalid_env_with_explicit_tol(self, haar_path, monkeypatch, capsys):
+        monkeypatch.setenv("LOOPWAVE_TOL", "banana")
+        assert main(["verify", haar_path, "--tol", "1e-8"]) == 2
+        assert "LOOPWAVE_TOL is not a number" in capsys.readouterr().err
+
+    def test_built_at_most_once(self, haar_path, monkeypatch, capsys):
+        builds = []
+        original = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or original())
+        cli._parser.cache_clear()
+        for argv in (["verify", haar_path], ["classify", haar_path], ["verify", haar_path, "--json"]):
+            assert main(argv) == 0
+        assert len(builds) == 1
+
+    def test_import_builds_no_parser(self):
+        code = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
+            "import loopwave, loopwave.cli\n"
+            "print(len(built))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_env_importing_loopwave())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
+
+    @pytest.mark.parametrize("command", list(HELP_SHA256))
+    def test_help_unchanged(self, command, monkeypatch, capsys):
+        import hashlib
+
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = [command, "--help"] if command else ["--help"]
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+        assert hashlib.sha256(texts[0].encode()).hexdigest() == HELP_SHA256[command]
