@@ -20,11 +20,12 @@ of two seeds:
   quadrature error.
 
 The generators, W xi = sum_k xi_k phi(. - k) and each refinement step are
-sums of translates of one sample array, summed one cache-sized block of
-the output at a time.  The cascade iterates of a real filter and their
-refinement defect are real and are summed in float64: directly under
-real weights, and as two real sums, the real and imaginary parts, under
-complex ones.  The results have the bits of the complex sums, and the
+sums of translates of one sample array, summed in place one cache-sized
+block of the output at a time; the cascade reads each block's sup and
+increment while the block is in cache.  It records that a real filter on
+a real seed gave real samples, and the iterates, the generators and the
+refinement defect of such samples are summed in float64 from their real
+parts alone.  The results have the bits of the complex sums, and the
 sample arrays handed out stay complex.
 
 W intertwines the low-pass isometry S_0 with the dilation
@@ -93,7 +94,8 @@ class ScalingFunctionSamples(GridFunction):
     started: under the point seed values[k] is phi(k h), under the box
     seed it is the cell value on [k h, (k+1) h) of the piecewise-constant
     iterate.  shift says how far the filter's support was translated to
-    start at exponent 0.
+    start at exponent 0.  real records that the cascade gave real samples (a
+    real filter on a real seed), so sums may read values.real alone.
     """
 
     start_index: int = field(default=0, init=False)
@@ -103,6 +105,7 @@ class ScalingFunctionSamples(GridFunction):
     deltas: tuple[float, ...]
     seed: str
     normalization: str = NORMALIZATION_NOTE
+    real: bool = False
 
     @property
     def support(self) -> tuple[float, float]:
@@ -134,88 +137,84 @@ class WaveletSamples(GridFunction):
     orthonormal_case: bool
 
 
-#: Output samples summed at a time: the running sums and one product term,
-#: 2^14 complex samples each, stay in a core's cache.
+#: Output samples summed at a time: a block of running sums and one product
+#: term, 2^14 complex samples each, stay in a core's cache.
 _BLOCK = 1 << 14
 
 
-def _real_if_exact(values: np.ndarray) -> np.ndarray:
-    """The real part of values when the imaginary part is exactly zero, else values."""
-    return values if values.imag.any() else values.real
+def _translate_sum(v: np.ndarray, starts, weights, out: np.ndarray, visit=None) -> np.ndarray:
+    """Write out[m] = sum_k weights[k] v[m - starts[k]] over all of out and
+    return it; a translate may start before out or end past it.
 
-
-def _sum_blocks(v: np.ndarray, starts, weights, length: int):
-    """Yield (j, sums) for the blocks j = 0, B, 2B, ... below length that
-    some translate reaches, in order, where
-    sums[m] = sum_k weights[k] v[j + m - starts[k]] over the terms that reach
-    j + m, added in the order given.  sums is reused by the next block.
-
-    The arithmetic is real where the numbers are: real weights on real
-    samples sum in float64, and complex weights on real samples sum the
-    real and imaginary parts w.real v and w.imag v apart.  Both give the
-    bits of the complex sum of the products w * v: a product with a zero
-    factor is an exact zero, and a sum that starts from 0 cannot end at -0.
+    Each block of out is zeroed and the terms that reach it are added in
+    place, in the order given, skipping zero weights; visit(j, sums), if
+    given, then sees the block's sums while they are in cache.  Real weights
+    on real samples sum in float64, through one float64 block when out is
+    complex; a complex weight reads a real slice once for both parts.  Every
+    sum has the bits of the complex sum of the products complex(w) * v: a
+    product with a zero factor is an exact zero, and a sum that starts from
+    0 cannot end at -0.
     """
     v = np.ascontiguousarray(v)  # every term reads v again
-    weights = [complex(w) for w in weights]
-    if np.iscomplexobj(v):
-        parts = [weights]
-    elif any(w.imag for w in weights):
-        parts = [[w.real for w in weights], [w.imag for w in weights]]
-    else:
-        parts = [[w.real for w in weights]]
-    size = min(_BLOCK, length)
-    accs = [np.empty(size, v.dtype) for _ in parts]
-    sums = accs[0] if len(parts) == 1 else np.empty(size, complex)
-    term = np.empty(size, v.dtype)
-    for j in sorted({b * size for s in starts for b in range(s // size, (s + len(v) - 1) // size + 1)}):
-        m = min(size, length - j)
-        for acc, ws in zip(accs, parts):
-            acc[:m] = 0.0
-            for s, w in zip(starts, ws):
-                lo, hi = max(j, s), min(j + m, s + len(v))
-                if lo < hi:
-                    np.multiply(w, v[lo - s : hi - s], out=term[: hi - lo])
-                    acc[lo - j : hi - j] += term[: hi - lo]
-        if len(parts) == 2:
-            sums.real[:m], sums.imag[:m] = accs[0][:m], accs[1][:m]
-        yield j, sums[:m]
-
-
-def _translate_sum(v: np.ndarray, starts, weights, out: np.ndarray) -> np.ndarray:
-    """Write sum_j weights[j] v[. - starts[j]] over all of out, for starts >= 0
-    whose translates end inside out; a real out takes real samples and
-    weights only."""
-    end = 0
-    for j, sums in _sum_blocks(v, starts, weights, len(out)):
-        out[end:j] = 0.0
-        out[j : j + len(sums)] = sums
-        end = j + len(sums)
-    out[end:] = 0.0
+    weights = np.asarray(weights, dtype=complex)
+    if v.dtype == float and not np.count_nonzero(weights.imag):
+        weights = weights.real
+    terms = [(s, w) for s, w in zip(starts, weights.tolist()) if w]
+    size = min(_BLOCK, len(out))
+    term = np.empty(size, np.result_type(v, weights))
+    sums = None if out.dtype == term.dtype else np.empty(size, term.dtype)
+    for j in range(0, len(out), size):
+        m = min(size, len(out) - j)
+        acc = out[j : j + m] if sums is None else sums[:m]
+        acc.fill(0.0)
+        for s, w in terms:
+            lo, hi = max(j, s), min(j + m, s + len(v))
+            if lo < hi:
+                np.multiply(w, v[lo - s : hi - s], out=term[: hi - lo])
+                acc[lo - j : hi - j] += term[: hi - lo]
+        if visit:
+            visit(j, acc)
+        if sums is not None:
+            out[j : j + m] = acc
     return out
 
 
-def _filter_sum(v: np.ndarray, f: LaurentPoly, n: int, stride: int, out: np.ndarray) -> np.ndarray:
-    """One refinement step N sum_t f_t v[. - t stride], indexed from f's lowest tap."""
-    return _translate_sum(v, range(0, len(f.coeffs) * stride, stride), [n * c for c in f.coeffs], out)
+def _sup(x: np.ndarray) -> float:
+    """max |x|; a real x is read without a temporary array."""
+    return float(abs(max(x.max(), -x.min()))) if x.dtype == float else float(np.max(np.abs(x)))
+
+
+def _filter_sum(v: np.ndarray, f: LaurentPoly, n: int, stride: int, out: np.ndarray, origin: int = 0, visit=None):
+    """One refinement step N sum_t f_t v[. - t stride], out[0] at exponent origin / stride."""
+    starts = range(f.valuation * stride - origin, (f.degree + 1) * stride - origin, stride)
+    return _translate_sum(v, starts, [n * c for c in f.coeffs], out, visit)
+
+
+def _increment(sup: np.ndarray, phi: np.ndarray, n: int, seed: str, j: int, block: np.ndarray) -> None:
+    """Raise sup to (sup |block|, sup |block - phi|) over samples j, j + 1, ... of phi's refinement."""
+    peak = _sup(block)
+    if seed == "point":  # the coarse points, multiples of n, hold values of phi
+        block, prev = block[-j % n :: n], phi[-(-j // n) :]
+    else:  # the box seed: every fine cell against the coarse cell it refines
+        prev = np.repeat(phi[j // n : (j + len(block) - 1) // n + 1], n)[j % n :]
+    np.maximum(sup, (peak, _sup(block - prev[: len(block)])), out=sup)
 
 
 def _refinement_defect(phi: ScalingFunctionSamples, a: LaurentPoly) -> GridFunction:
     """D[m] = fine[m] - N sum_t a_t coarse[m - t N^(level-1)] on phi's grid.
 
     fine = phi.values and coarse = fine[::N] are zero off their samples; D
-    covers the union of both supports.  D is real when the samples and the
-    taps are.
+    covers the union of both supports.  D is summed in float64 when the
+    cascade recorded the samples real and the taps are real.
     """
-    n, fine = phi.n, _real_if_exact(phi.values)
+    n, fine = phi.n, phi.values.real if phi.real else phi.values
     step = n ** (phi.level - 1)
     coarse = fine[::n]
     lo = min(0, a.valuation * step)
-    real = np.isrealobj(fine) and not any(c.imag for c in a.coeffs)
-    defect = np.zeros(max(a.degree * step + len(coarse), len(fine)) - lo, dtype=float if real else complex)
-    # -refined + fine is fine - refined exactly, and needs no second buffer
-    _filter_sum(coarse, a, n, step, defect[a.valuation * step - lo :])
-    np.negative(defect, out=defect)
+    real = phi.real and not any(c.imag for c in a.coeffs)
+    defect = np.empty(max(a.degree * step + len(coarse), len(fine)) - lo, dtype=float if real else complex)
+    # the sum of the negated terms, plus fine, is fine - refined exactly
+    _filter_sum(coarse, a, -n, step, defect, lo)
     defect[-lo : len(fine) - lo] += fine
     return GridFunction(n, phi.level, lo, defect)
 
@@ -255,9 +254,8 @@ def cascade(m0: LaurentPoly, n: int, level: int, tol: float = 1e-10) -> ScalingF
     (so the increments are rounding-level); under the box seed on every
     fine cell, against the previous piecewise-constant iterate.
 
-    Real taps on a real seed keep every iterate real, so those iterates
-    are summed in float64 and the last one is written straight into the
-    complex values.
+    Real taps on a seed with no imaginary part keep every iterate real: each
+    is summed in float64, and the result records real=True.
     """
     if level < 0:
         raise ValueError("level must be >= 0")
@@ -279,23 +277,19 @@ def cascade(m0: LaurentPoly, n: int, level: int, tol: float = 1e-10) -> ScalingF
         phi[0] = 1.0
         seed = "box"
     values = phi  # the result at level 0
-    phi = _real_if_exact(phi)
-    real = np.isrealobj(phi) and not a.imag.any()
+    real = not np.count_nonzero(a.imag) and not np.count_nonzero(phi.imag)
+    phi = phi.real if real else phi
     deltas: list[float] = []
     for t in range(level):
         # (L-1) N^t + len(phi) samples: the support grid refined once
-        values = np.empty((len(a) - 1) * n**t + len(phi), dtype=float if real and t < level - 1 else complex)
-        _filter_sum(phi, lowpass, n, n**t, values)
-        nxt = values.real if real else values
-        peak = float(np.max(np.abs(nxt)))
+        nxt = np.empty((len(a) - 1) * n**t + len(phi), dtype=complex if t == level - 1 else phi.dtype)
+        sup = np.zeros(2)  # the largest |value| and increment over the blocks
+        _filter_sum(phi, lowpass, n, n**t, nxt, visit=lambda j, block: _increment(sup, phi, n, seed, j, block))
+        peak, delta = sup.tolist()
         if peak > DIVERGENCE_GUARD:
             raise RuntimeError(f"cascade diverged: sup |phi| = {peak:.3e} at iteration {t + 1}")
-        if seed == "point":
-            delta = np.max(np.abs(nxt[::n] - phi))
-        else:
-            delta = np.max(np.abs(nxt - np.repeat(phi, n)[: len(nxt)]))
-        deltas.append(float(delta))
-        phi = nxt
+        deltas.append(delta)
+        phi = values = nxt
     values.setflags(write=False)
     return ScalingFunctionSamples(
         n=n,
@@ -306,6 +300,7 @@ def cascade(m0: LaurentPoly, n: int, level: int, tol: float = 1e-10) -> ScalingF
         shift=m0.valuation,
         deltas=tuple(deltas),
         seed=seed,
+        real=real,
     )
 
 
@@ -336,7 +331,7 @@ def refinement_residual(phi: ScalingFunctionSamples) -> float:
     """
     if phi.level < 1:
         raise ValueError("refinement residual needs at least one cascade level")
-    return float(np.max(np.abs(_refinement_defect(phi, phi.lowpass).values)))
+    return _sup(_refinement_defect(phi, phi.lowpass).values)
 
 
 def wavelets(system: FilterSystem, phi: ScalingFunctionSamples) -> WaveletSamples:
@@ -356,9 +351,10 @@ def wavelets(system: FilterSystem, phi: ScalingFunctionSamples) -> WaveletSample
         raise ValueError("generator filters must be nonzero")
     start = min(g.valuation for g in gens) * stride
     end = max(g.degree for g in gens) * stride + len(phi.values)
-    values = np.zeros((n - 1, end - start), dtype=complex)
-    for i, g in enumerate(gens):
-        _filter_sum(phi.values, g, n, stride, values[i, g.valuation * stride - start :])
+    samples = np.ascontiguousarray(phi.values.real) if phi.real else phi.values
+    values = np.empty((n - 1, end - start), dtype=complex)
+    for row, g in zip(values, gens):
+        _filter_sum(samples, g, n, stride, row, start)
     values.setflags(write=False)
     shifted_m0 = LaurentPoly(0, system.filters[0].coeffs)
     orthonormal = low_pass_check(system.filters[0]) and shifted_m0.allclose(phi.lowpass, 1e-12)
@@ -412,8 +408,12 @@ def check_intertwine(
     stride = phi.n**phi.level
     keys = sorted(xi)
     starts = [(k - keys[0]) * stride for k in keys]
-    blocks = _sum_blocks(defect, starts, [complex(xi[k]) / root for k in keys], starts[-1] + len(defect))
-    return max(float(np.max(np.abs(sums))) for _, sums in blocks)
+    weights = [complex(xi[k]) / root for k in keys]
+    total = starts[-1] + len(defect)
+    size = min(_BLOCK, total)
+    block = np.empty(size, dtype=complex)
+    reached = sorted({b * size for s in starts for b in range(s // size, (s + len(defect) - 1) // size + 1)})
+    return max(_sup(_translate_sum(defect, [s - j for s in starts], weights, block[: total - j])) for j in reached)
 
 
 def orthonormality_check(phi: ScalingFunctionSamples, k_range: int) -> float:

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -292,6 +294,24 @@ def _complex_generator_system():
     return certify(FilterSystem(2, [LaurentPoly(0, (0.5, 0.5)), LaurentPoly(0, (0.5j, -0.5j))]))
 
 
+def _generators_shifted(make):
+    """make()'s system with generator i moved by z^(N (i - 1)) after the
+    first, z^-N for the first: every generator row has its own valuation."""
+
+    def build():
+        system = make()
+        n, (m0, *gens) = system.n, system.filters
+        powers = [-n] + [n * i for i in range(1, len(gens))]
+        return certify(FilterSystem(n, [m0] + [g * LaurentPoly.monomial(p) for g, p in zip(gens, powers)]))
+
+    return build
+
+
+def _hadamard4_system():
+    h = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 4
+    return certify(FilterSystem(4, [LaurentPoly(0, tuple(row)) for row in h]))
+
+
 #: name -> (system, deepest level, seed) for the per-term loop oracles
 ORACLE_SYSTEMS = {
     "haar": (haar_system, 8, "box"),
@@ -349,6 +369,19 @@ class TestLoopOracles:
         assert np.array_equal(w.values, values)
 
 
+@pytest.mark.parametrize("case, level", [("N=3 low-pass", 9), ("N=4 low-pass", 8), ("N=3 box", 10), ("(1+z^3)/2", 16)])
+def test_increments_across_blocks(case, level):
+    # cascade takes the sup and the increment block by block, and with N = 3
+    # a block need not start at a coarse point
+    make, _, seed = ORACLE_SYSTEMS[case]
+    system = make()
+    m0, n = system.filters[0], system.n
+    phi = cascade(m0, n, level)
+    assert len(phi.values) > 3 * wavelet._BLOCK
+    iterates, deltas = loop_cascade(m0, n, cascade(m0, n, 0).values, seed == "point", level)
+    assert phi.deltas == deltas and np.array_equal(phi.values, iterates[-1])
+
+
 #: name -> (system, levels) for the complex-arithmetic oracles; the deepest
 #: level of each gives outputs longer than one summing block.
 COMPLEX_ORACLE_SYSTEMS = {
@@ -360,6 +393,10 @@ COMPLEX_ORACLE_SYSTEMS = {
     "N=4 low-pass": (lambda: seeded_lowpass_system(4, 2, 7), [1, 3, 7]),
     "complex generator": (_complex_generator_system, [1, 6, 15]),
     "d4 z^-3": (_shifted(daubechies4_system, -3), [2, 14]),
+    # generator rows with their own valuations, the deepest level wider
+    # than three summing blocks: real rows, then complex rows on a real phi
+    "N=4 real box, generators shifted": (_generators_shifted(_hadamard4_system), [1, 7]),
+    "N=3 box, generators shifted": (_generators_shifted(_box3_system), [1, 8]),
 }
 
 COMPLEX_ORACLE_XI = [
@@ -411,6 +448,28 @@ class TestComplexOracle:
             for xi in COMPLEX_ORACLE_XI + [{}]:
                 assert check_intertwine(system, phi, xi) == complex_intertwine_residual(system, phi, xi)
 
+    def test_every_sample_written(self, case):
+        # byte comparisons: no sample keeps what the memory held before
+        make, levels = COMPLEX_ORACLE_SYSTEMS[case]
+        system = make()
+        m0, n = system.filters[0], system.n
+        iterates = complex_cascade(m0, n, cascade(m0, n, 0).values, max(levels))
+        for level in levels:
+            phi = cascade(m0, n, level)
+            assert phi.values.tobytes() == iterates[level - 1].tobytes()
+            assert wavelets(system, phi).values.tobytes() == complex_wavelets(system, phi)[1].tobytes()
+            for xi in COMPLEX_ORACLE_XI:
+                assert synthesize_W(xi, phi).values.tobytes() == complex_synthesis(xi, phi)[1].tobytes()
+
+
+def test_generator_rows_with_own_valuations_span_blocks():
+    for case in ("N=4 real box, generators shifted", "N=3 box, generators shifted"):
+        make, levels = COMPLEX_ORACLE_SYSTEMS[case]
+        system = make()
+        assert len({g.valuation for g in system.filters[1:]}) == system.n - 1
+        psi = wavelets(system, cascade(system.filters[0], system.n, max(levels)))
+        assert psi.values.shape[1] > 3 * wavelet._BLOCK
+
 
 @pytest.mark.parametrize("length", [1, 7, wavelet._BLOCK - 1, wavelet._BLOCK, wavelet._BLOCK + 1, 3 * wavelet._BLOCK + 5])
 @pytest.mark.parametrize("kind", ["real", "real samples, complex weights", "complex samples, real weights", "complex"])
@@ -430,11 +489,49 @@ def test_translate_sum_matches_complex_sum(length, kind):
     assert out.tobytes() == complex_translate_sum(v, starts, weights, length).tobytes()
 
 
-def test_sum_blocks_skips_blocks_no_translate_reaches():
+def _translate_case(length, kind):
+    """v, starts and weights as test_translate_sum_matches_complex_sum draws them."""
+    rng = np.random.default_rng(length)
+    v = rng.standard_normal(max(1, length // 3))
+    v[::5] = 0.0
+    weights = list(rng.standard_normal(4))
+    if kind.startswith("complex samples") or kind == "complex":
+        v = v + 1j * rng.standard_normal(len(v))
+    if kind.endswith("complex weights") or kind == "complex":
+        weights = [w + 1j * rng.standard_normal() for w in weights]
+    weights[1] = 0.0
+    return v, sorted(int(s) for s in rng.integers(0, length - len(v) + 1, size=4)), weights
+
+
+@pytest.mark.parametrize("length", [1, 7, wavelet._BLOCK - 1, wavelet._BLOCK, wavelet._BLOCK + 1, 3 * wavelet._BLOCK + 5])
+@pytest.mark.parametrize("kind", ["real", "real samples, complex weights", "complex samples, real weights", "complex"])
+def test_translate_sum_writes_every_sample(length, kind):
+    v, starts, weights = _translate_case(length, kind)
+    expected = complex_translate_sum(v, starts, weights, length)
+    out = np.full(length, np.nan, dtype=complex)
+    assert wavelet._translate_sum(v, starts, weights, out).tobytes() == expected.tobytes()
+    if kind == "real":
+        out = np.full(length, np.nan)
+        assert wavelet._translate_sum(v, starts, weights, out).tobytes() == expected.real.copy().tobytes()
+
+
+def test_translate_sum_over_a_window():
+    # translates that start before the window or end past it are clipped
+    block = wavelet._BLOCK
+    rng = np.random.default_rng(3)
+    v = rng.standard_normal(block + 77)
+    starts, weights = [0, 900, block // 2, 2 * block + 5], [0.5, -1.0j, 2.0, 0.25 + 1j]
+    whole = complex_translate_sum(v, starts, weights)
+    for lo, hi in [(0, 10), (500, block + 600), (block - 3, 3 * block + 82), (3 * block + 80, 3 * block + 82)]:
+        out = np.full(hi - lo, np.nan, dtype=complex)
+        wavelet._translate_sum(v, [s - lo for s in starts], weights, out)
+        assert out.tobytes() == whole[lo:hi].tobytes()
+
+
+def test_translate_sum_writes_blocks_no_translate_reaches():
     block = wavelet._BLOCK
     v = np.ones(block // 2)
     starts = [block // 4, 7 * block + block // 8, 7 * block + 3 * block // 8]
-    assert [j for j, _ in wavelet._sum_blocks(v, starts, [1.0, 2.0, 3.0], 9 * block)] == [0, 7 * block]
     out = np.full(9 * block, np.nan, dtype=complex)
     wavelet._translate_sum(v, starts, [1.0, 2.0, 3.0], out)
     assert out.tobytes() == complex_translate_sum(v, starts, [1.0, 2.0, 3.0], 9 * block).tobytes()
@@ -451,6 +548,84 @@ def test_intertwine_with_keys_far_apart(level):
         near = check_intertwine(system, phi, {0: 1.0, 10: weight})
         assert check_intertwine(system, phi, {0: 1.0, 10**9: weight}) == near
         assert near == complex_intertwine_residual(system, phi, {0: 1.0, 10: weight})
+
+
+class _NoImag(np.ndarray):
+    """An array whose imaginary part must not be read."""
+
+    @property
+    def imag(self):
+        raise AssertionError("imaginary part of a sample array read")
+
+
+class _SealedNumpy:
+    """numpy, except that np.empty hands out _NoImag arrays."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(*args, **kwargs):
+        return np.empty(*args, **kwargs).view(_NoImag)
+
+
+#: name -> (system, level) of real filters whose samples the cascade records as real
+REAL_RECORD_SYSTEMS = {"d4": (daubechies4_system, 12), "N=3 box": (_box3_system, 7)}
+
+
+@pytest.mark.parametrize("case", REAL_RECORD_SYSTEMS)
+class TestRealRecord:
+    """cascade records that a real filter's samples are real, and the layer
+    then sums their real parts without reading an imaginary part or
+    keeping a float64 copy."""
+
+    def _outputs(self, system, phi):
+        xi = {-1: 0.5 - 1j, 0: 1.0, 2: 0.25j}
+        return (
+            phi.values.tobytes(),
+            wavelets(system, phi).values.tobytes(),
+            check_intertwine(system, phi, xi),
+            refinement_residual(phi),
+        )
+
+    def test_no_imaginary_part_read(self, case, monkeypatch):
+        make, level = REAL_RECORD_SYSTEMS[case]
+        system = make()
+        expected = self._outputs(system, cascade(system.filters[0], system.n, level))
+        # every array the layer allocates raises when its imaginary part is read
+        monkeypatch.setattr(wavelet, "np", _SealedNumpy())
+        phi = cascade(system.filters[0], system.n, level)
+        assert phi.real and isinstance(phi.values, _NoImag)
+        assert self._outputs(system, phi) == expected
+
+    def test_unrecorded_samples_match_complex_oracle(self, case):
+        make, level = REAL_RECORD_SYSTEMS[case]
+        system = make()
+        recorded = cascade(system.filters[0], system.n, level)
+        fields = {f.name: getattr(recorded, f.name) for f in dataclasses.fields(recorded) if f.init and f.name != "real"}
+        phi = ScalingFunctionSamples(**fields)
+        assert recorded.real and not phi.real
+        assert wavelets(system, phi).values.tobytes() == complex_wavelets(system, phi)[1].tobytes()
+        assert refinement_residual(phi) == float(np.max(np.abs(complex_defect(phi, phi.lowpass))))
+        for xi in COMPLEX_ORACLE_XI:
+            assert check_intertwine(system, phi, xi) == complex_intertwine_residual(system, phi, xi)
+        assert self._outputs(system, phi) == self._outputs(system, recorded)
+
+
+def test_cascade_keeps_no_float64_copy():
+    # the float64 iterates live only inside the call: the result holds its
+    # complex values and nothing of their size besides
+    m0 = daubechies4_system().filters[0]
+    cascade(m0, 2, 2)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        phi = cascade(m0, 2, 14)
+        live = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert phi.real and live <= phi.values.nbytes + 64 * 1024
+    assert [f.name for f in dataclasses.fields(phi) if isinstance(getattr(phi, f.name), np.ndarray)] == ["values"]
 
 
 class TestOrthonormality:
