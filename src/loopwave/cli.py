@@ -39,10 +39,9 @@ CASCADE_SAMPLE_BUDGET = 1 << 26
 #: builds its JSON (about 330 bytes a value).
 GRID_VALUE_BUDGET = 1 << 21
 
-#: Most entries of the Cuntz model that ``cuntz-check --band B`` (its column
-#: windows, N L (2B + 1) for L filter taps) and ``commutant --band B`` (its
-#: dense matrices, N (2 N B + L) (2B + 1)) compute: 2^24 complex
-#: entries take 256 MiB.
+#: Most entries that ``cuntz-check --band B`` (its column windows,
+#: N L (2B + 1) for L filter taps) and ``commutant`` (sigma on the attractor
+#: band K, |K|^4) compute: 2^24 complex entries take 256 MiB.
 BAND_ENTRY_BUDGET = 1 << 24
 
 
@@ -308,14 +307,9 @@ def cmd_complete(args: argparse.Namespace) -> int:
 
 def cmd_commutant(args: argparse.Namespace) -> int:
     system = _load_system(args.path, args.tol)
-    if args.band is None:
-        band = cuntz_rep.attractor_band(system)
-    else:
-        taps = len(stack(system.filters)[1])
-        dense = system.n * (2 * system.n * args.band + taps) * (2 * args.band + 1)
-        _check_budget("--band", args.band, dense, "entries", BAND_ENTRY_BUDGET)
-        band = cuntz_rep.Band(-args.band, args.band)
-    report = cuntz_rep.commutant_diagnostic(cuntz_rep.build_rep(system, band), tol=args.commutant_tol)
+    size = cuntz_rep.attractor_band(system).size
+    _check_budget("|K|", size, size**4, "entries of sigma", BAND_ENTRY_BUDGET)
+    report = cuntz_rep._commutant(system, args.commutant_tol)
     svals = np.array2string(report.singular_values[:16], precision=3, separator=", ")
     _emit(
         {
@@ -390,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("commutant", help="commutant dimension, exact on the attractor band")
     p.add_argument("path")
-    p.add_argument("--band", type=int, default=None, help="input band [-B, B]; default: the attractor band K")
+    p.add_argument("--band", type=int, default=None, help="ignored: the commutant is computed on the attractor band K")
     p.add_argument("--tol", type=float)
     p.add_argument("--commutant-tol", type=float, default=1e-6, dest="commutant_tol")
     p.add_argument("--json", action="store_true")
@@ -411,6 +405,10 @@ def main(argv: list[str] | None = None) -> int:
         args = _parser().parse_args(argv)
         if args.tol is None:
             args.tol = tol
+        tols = {"LOOPWAVE_TOL": tol, "--tol": args.tol, "--commutant-tol": getattr(args, "commutant_tol", 0.0)}
+        for option, value in tols.items():
+            if not value >= 0:  # NaN too; 0 is valid, since exact inputs certify at exactly 0
+                raise FileFormatError(f"{option} must be a non-negative number, got {value!r}")
         return args.func(args)
     except (FileFormatError, _OverBudget) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,7 +11,7 @@ indices all lie inside the input band.
 Column k of S_i is nonzero only on the L indices N k + t, t in the filter
 support, so a model holds those column windows, an (N, L, |in|) tensor,
 and every product is formed from them and the band structure they give.
-The dense matrices are built only when ``TruncatedRep.S`` is read.
+Only ``TruncatedRep.S`` builds the dense matrices; the commutant needs none.
 """
 
 from __future__ import annotations
@@ -356,9 +356,9 @@ def transition_operator_matrix(rep_a: TruncatedRep, rep_b: TruncatedRep, tol: fl
 class CommutantReport:
     """Exact commutant of the Cuntz representation of a filter system.
 
-    dimension is the dimension of the fixed-point space of
-    sigma(A) = sum_i V_i A V_i^* on B(K), band is the attractor band K,
-    and singular_values are those of sigma - I, ascending.
+    dimension is the dimension of the fixed-point space of sigma(A) =
+    sum_i V_i A V_i^* on B(K), band is the attractor band K, and
+    singular_values are those of sigma - I, ascending: all from the filters.
     """
 
     dimension: int
@@ -378,23 +378,24 @@ def commutant_diagnostic(rep: TruncatedRep, tol: float = 1e-6) -> CommutantRepor
     sum_w S_w S_w* = I over the words of a fixed length.  By
     Bratteli-Jorgensen-Kishimoto-Werner (*Pure states on O_d*) the
     commutant is then isomorphic to the fixed points of
-    sigma(A) = sum_i V_i A V_i^* on B(K), with V_i = P_K S_i|_K.  With A
+    sigma(A) = sum_i V_i A V_i^* on B(K), with V_i = P_K S_i|_K, whose
+    entries V_i[p, k] = sqrt(N) c_{i, p-Nk} come from the taps alone: only
+    rep.system is read, and no band of rep changes the answer.  With A
     flattened row-major, sigma = sum_i kron(V_i, conj V_i), and the
     dimension is the number of singular values of sigma - I below tol.
-    The V_i are sliced out of the dense rep.S, so the input band must
-    contain K.
     """
-    attractor = attractor_band(rep.system)
-    if attractor.k_min not in rep.in_band or attractor.k_max not in rep.in_band:
-        raise ValueError(
-            f"input band [{rep.in_band.k_min}, {rep.in_band.k_max}] does not contain the "
-            f"attractor band K = [{attractor.k_min}, {attractor.k_max}]; widen the band"
-        )
-    # K lies in the output band too: by completeness every p in K is Nk + t
-    # for some k, and that k is in K by the invariance of K under S_i*.
-    rows = slice(attractor.k_min - rep.out_band.k_min, attractor.k_max - rep.out_band.k_min + 1)
-    cols = slice(attractor.k_min - rep.in_band.k_min, attractor.k_max - rep.in_band.k_min + 1)
-    sigma = sum(np.kron(s[rows, cols], s[rows, cols].conj()) for s in rep.S)
+    return _commutant(rep.system, tol)
+
+
+def _commutant(system: FilterSystem, tol: float) -> CommutantReport:
+    """commutant_diagnostic of a filter system; sigma has |K|^4 entries."""
+    attractor = attractor_band(system)
+    t_min, coeffs = _filter_stack(system)
+    k = np.arange(attractor.k_min, attractor.k_max + 1)
+    offsets = k[:, None] - system.n * k[None, :] - t_min
+    inside = (offsets >= 0) & (offsets < len(coeffs))
+    v = np.where(inside, math.sqrt(system.n) * coeffs.T[:, np.clip(offsets, 0, len(coeffs) - 1)], 0.0)
+    sigma = sum(np.kron(s, s.conj()) for s in v)
     svals = np.linalg.svd(sigma - np.eye(attractor.size**2), compute_uv=False)[::-1]
     return CommutantReport(
         dimension=int(np.count_nonzero(svals < tol)),

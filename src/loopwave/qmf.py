@@ -237,7 +237,7 @@ def complete(
         if n != 2:
             raise ValueError("fir2 completion is defined only for scale 2")
         system = FilterSystem(2, [m0, _fir2_completion(m0)])
-        return certify(system, tol=tol, grid_size=max(DEFAULT_GRID, grid_size))
+        return certify(system, tol=tol, grid_size=grid_size)
     if mode == "grid":
         if grid_size <= 0 or grid_size % n != 0:
             raise ValueError(f"grid_size must be a positive multiple of {n}")

@@ -3,6 +3,7 @@ fresh interpreter from the root of the checkout.  Every job's output is
 checked by the benchmark's own numpy checks, so a wrong answer from the
 package fails here as well as in a timed run."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -13,10 +14,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["loop-sweep", "representations", "cli-files"])
-def test_one_round_is_correct(workload):
+def _one_round(workload: str, trace: int) -> dict:
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1", "--seconds", "0", "--trace", "0"],
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1", "--seconds", "0", "--trace", str(trace)],
         cwd=ROOT,
         capture_output=True,
         text=True,
@@ -27,3 +27,20 @@ def test_one_round_is_correct(workload):
     assert result["correct"] is True, proc.stderr
     assert result["failed"] == 0, proc.stderr
     assert result["attempted"] > 0
+    return result
+
+
+@pytest.mark.parametrize("workload", ["loop-sweep", "representations", "cli-files"])
+def test_one_round_is_correct(workload):
+    _one_round(workload, 0)
+
+
+def test_traced_round_reports_every_layer():
+    # representations is the workload whose tracer wraps the Cuntz models,
+    # the commutant and the cascade, so a program change that breaks the
+    # per-layer measurement of those shows here.
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    result = _one_round("representations", 1)
+    assert set(spans.UNITS) <= set(result["metrics"])

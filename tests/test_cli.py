@@ -416,6 +416,17 @@ class TestCompleteCommand:
         assert main(["complete", str(m0_path), "--mode", "grid", "--grid", "256", "--out", str(out)]) == 1
         assert "multiple of 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid", ["-2", "0", "3"])
+    def test_fir2_grid_not_a_positive_multiple_exit1(self, grid, tmp_path, capsys):
+        m0_path = tmp_path / "haar-m0.json"
+        m0_path.write_text(
+            json.dumps({"version": 1, "n": 2, "filters": [{"offset": 0, "coeffs": [[0.5, 0], [0.5, 0]]}]})
+        )
+        out = tmp_path / "completed.json"
+        assert main(["complete", str(m0_path), "--mode", "fir2", "--grid", grid, "--out", str(out)]) == 1
+        assert "multiple of 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_scalar_violation_exit1(self, tmp_path):
         m0_path = tmp_path / "bad.json"
         m0_path.write_text(
@@ -437,9 +448,12 @@ class TestCommutantCommand:
         assert report["dimension"] == 1
         assert report["band"] == [-3, 0]
 
-    def test_band_missing_attractor_exit1(self, d4_path, capsys):
-        assert main(["commutant", d4_path, "--band", "2"]) == 1
-        assert "K = [-3, 0]" in capsys.readouterr().err
+    def test_band_missing_attractor_is_ignored(self, d4_path, capsys):
+        assert main(["commutant", d4_path]) == 0
+        expected = capsys.readouterr().out
+        assert main(["commutant", d4_path, "--band", "2"]) == 0
+        assert capsys.readouterr().out == expected
+        assert "band: [-3, 0]" in expected
 
     def test_band_defaults_to_attractor(self, d4_path, tmp_path, capsys):
         assert main(["commutant", d4_path, "--json"]) == 0
@@ -530,6 +544,15 @@ def _taps(system) -> int:
     return max(f.offset + len(f.coeffs) for f in system.filters) - min(f.offset for f in system.filters)
 
 
+def _spread(system, j: int):
+    """The system with m_{N-1} multiplied by z^(N j), whose loop is
+    diag(1, ..., 1, z^j) times the system's: a QMF system whose attractor
+    band grows with j."""
+    filters = list(system.filters)
+    filters[-1] = filters[-1] * LaurentPoly.monomial(system.n * j)
+    return FilterSystem(system.n, filters, verified=True)
+
+
 GUARDED_SYSTEMS = [haar_system, daubechies4_system, lambda: seeded_lowpass_system(3, 2, 4)]
 GUARDED_IDS = ["haar", "d4", "N=3 low-pass"]
 
@@ -595,14 +618,17 @@ class TestSizeGuards:
 
     @pytest.mark.parametrize("make", GUARDED_SYSTEMS, ids=GUARDED_IDS)
     def test_commutant_band(self, make, tmp_path, capsys):
+        # sigma has |K|^4 entries, for K the attractor band.
         from loopwave.cli import BAND_ENTRY_BUDGET
 
-        system = make()
+        def size(j):
+            return cuntz_rep.attractor_band(_spread(make(), j)).size
+
+        j = _first_over(lambda j: size(j) ** 4, BAND_ENTRY_BUDGET)
+        assert size(j - 1) ** 4 <= BAND_ENTRY_BUDGET
         path = tmp_path / "filters.json"
-        fileio.save_filter_file(path, system)
-        n, taps = system.n, _taps(system)
-        band = _first_over(lambda b: n * (2 * n * b + taps) * (2 * b + 1), BAND_ENTRY_BUDGET)
-        self._refused(["commutant", str(path), "--band", str(band)], "--band", band, capsys=capsys)
+        fileio.save_filter_file(path, _spread(make(), j))
+        self._refused(["commutant", str(path)], "|K|", size(j), capsys=capsys)
 
     @pytest.mark.parametrize(
         "argv",
@@ -610,7 +636,6 @@ class TestSizeGuards:
             ["verify", "{f}", "--grid", str(2 * 10**18)],
             ["complete", "{f}", "--mode", "grid", "--grid", str(2 * 10**18), "--out", "{out}"],
             ["cuntz-check", "{f}", "--band", str(10**18)],
-            ["commutant", "{f}", "--band", str(10**18)],
         ],
     )
     def test_astronomical_values(self, argv, haar_path, tmp_path, capsys):
@@ -620,9 +645,16 @@ class TestSizeGuards:
         assert not out.exists()
 
     @pytest.mark.parametrize("make", GUARDED_SYSTEMS, ids=GUARDED_IDS)
-    def test_estimates_count_the_entries(self, make):
+    def test_estimates_count_the_entries(self, make, monkeypatch):
         from loopwave import complete
 
+        sigma_sizes = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: sigma_sizes.append(a.size) or svd(a, **kw))
+        for j in range(0, 3):
+            system = _spread(make(), j)
+            cuntz_rep.commutant_diagnostic(cuntz_rep.build_rep(system, cuntz_rep.Band(0, 0)))
+            assert sigma_sizes.pop() == cuntz_rep.attractor_band(system).size ** 4
         system = make()
         n, taps = system.n, _taps(system)
         for band in range(0, 4):
@@ -644,6 +676,30 @@ class TestEnvironmentTolerance:
     def test_invalid_env_value(self, haar_path, monkeypatch):
         monkeypatch.setenv("LOOPWAVE_TOL", "banana")
         assert main(["verify", haar_path]) == 2
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "-1e-300"])
+    @pytest.mark.parametrize(
+        "env, argv",
+        [
+            ("LOOPWAVE_TOL", ["verify", "{f}"]),
+            ("LOOPWAVE_TOL", ["verify", "{f}", "--tol", "1e-8"]),
+            ("--tol", ["verify", "{f}", "--tol={v}"]),
+            ("--tol", ["commutant", "{f}", "--tol={v}"]),
+            ("--commutant-tol", ["commutant", "{f}", "--commutant-tol={v}"]),
+        ],
+    )
+    def test_nan_or_negative_refused(self, env, argv, value, d4_path, monkeypatch, capsys):
+        if env == "LOOPWAVE_TOL":
+            monkeypatch.setenv("LOOPWAVE_TOL", value)
+        assert main([a.format(f=d4_path, v=value) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {env} must be a non-negative number") and captured.err.count("\n") == 1
+
+    def test_zero_is_valid(self, haar_path, monkeypatch, capsys):
+        assert main(["verify", haar_path, "--tol", "0"]) == 0
+        monkeypatch.setenv("LOOPWAVE_TOL", "0")
+        assert main(["commutant", haar_path, "--commutant-tol", "0"]) == 0
 
 
 def _env_importing_loopwave() -> dict[str, str]:
@@ -682,7 +738,7 @@ HELP_SHA256 = {
     "cuntz-check": "2d83b4f528836ec568a18833948ed1760827ebb5aac3e94f6510aadfc65d0288",
     "equiv": "ad8701566582ff73f594542dbd5c0bd9d6b50d2cb949d50cec2182cb2509bec1",
     "complete": "a98175db07b9fd9ed741a7673ea75b4252eea1831335edd05d0a361790e883b5",
-    "commutant": "06031acb2ee636c34978ca70559c2020cba68f0f6e63d2f9ebede75e29c86e0b",
+    "commutant": "ee761ac99a02ab12615c389e1773203d78a47121d2ce698fc0a375d40a77dc19",
 }
 
 
