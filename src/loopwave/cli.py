@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 = pass, 1 = mathematical failure (verification, paraunitarity,
-low-pass, ...), 2 = I/O or format error, or a request too large for memory.
+Exit codes: 0 = pass, 1 = mathematical failure: a report that does not pass,
+or any ``ValueError`` a command raises (an input that is not paraunitary,
+a filter that is not low-pass, ...); 2 = I/O or format error, a negative
+size or tolerance, or a request too large for memory.
 The LOOPWAVE_TOL environment variable overrides the default tolerance of
 every command that takes --tol; it is read on every ``main()`` call, and
 ``main()`` may be called any number of times in one process.
@@ -15,16 +17,18 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Any
+from typing import Any, TypeVar
 
 import numpy as np
 
 from . import cuntz_rep, fileio, irreducibility, qmf, wavelet
 from .fileio import FileFormatError
 from .laurent import MatrixLaurent, stack
-from .loopgroup import FilterSystem, Loop, filters_to_loop, loop_to_filters, polyphase_matrix
+from .loopgroup import FilterSystem, Loop, loop_to_filters, polyphase_matrix
 
 PASS, FAIL, USAGE = 0, 1, 2
+
+_Form = TypeVar("_Form", Loop, FilterSystem)
 
 #: Rows of the cascade CSV formatted and written at a time.
 CSV_CHUNK_ROWS = 4096
@@ -63,31 +67,18 @@ def _emit(report: dict[str, Any], as_json: bool) -> None:
             print(f"{key}: {value}")
 
 
-def _certified_loop(path: str, mat: MatrixLaurent, tol: float) -> Loop:
+def _certified(path: str, loaded: FilterSystem | MatrixLaurent, tol: float, form: type[_Form]) -> _Form:
+    """The input as ``form``, a Loop or a FilterSystem, once its loop (for a
+    filter file, the polyphase loop) passes one paraunitarity certificate."""
+    is_system = isinstance(loaded, FilterSystem)
+    mat = polyphase_matrix(loaded) if is_system else loaded
     ok, residual = mat.is_paraunitary(tol)
     if not ok:
-        raise _MathFailure(
-            f"{path}: input does not define a paraunitary loop (residual {residual:.3e})"
-        )
-    return Loop(mat, certified=True)
-
-
-def _load_as_loop(path: str, tol: float) -> Loop:
-    """Read either file kind as a loop; filter files go through the polyphase map."""
-    loaded = fileio.load_input(path)
-    mat = polyphase_matrix(loaded) if isinstance(loaded, FilterSystem) else loaded
-    return _certified_loop(path, mat, tol)
-
-
-def _load_system(path: str, tol: float) -> FilterSystem:
-    loaded = fileio.load_input(path)
-    if isinstance(loaded, FilterSystem):
-        return qmf.certify(loaded, tol=tol)
-    return loop_to_filters(_certified_loop(path, loaded, tol))
-
-
-class _MathFailure(Exception):
-    """Command-level mathematical failure; maps to exit code 1."""
+        raise ValueError(f"{path}: input does not define a paraunitary loop (residual {residual:.3e})")
+    loop = Loop(mat, certified=True)
+    if form is Loop:
+        return loop
+    return loaded.with_verified(True) if is_system else loop_to_filters(loop)
 
 
 class _OverBudget(Exception):
@@ -157,17 +148,11 @@ def cmd_convert(args: argparse.Namespace) -> int:
     if args.to == "loop":
         if not isinstance(loaded, FilterSystem):
             raise FileFormatError(f"{args.path}: expected a filter file for --to loop")
-        loop = filters_to_loop(loaded, tol=args.tol)
-        if not loop.certified:
-            raise _MathFailure(
-                f"{args.path}: filter system is not QMF, refusing to write a non-paraunitary loop"
-            )
-        fileio.save_loop_file(args.out, loop.mat)
+        fileio.save_loop_file(args.out, _certified(args.path, loaded, args.tol, Loop).mat)
     else:
         if isinstance(loaded, FilterSystem):
             raise FileFormatError(f"{args.path}: expected a loop file for --to filters")
-        loop = _certified_loop(args.path, loaded, args.tol)
-        fileio.save_filter_file(args.out, loop_to_filters(loop))
+        fileio.save_filter_file(args.out, _certified(args.path, loaded, args.tol, FilterSystem))
     print(f"wrote {args.out}")
     return PASS
 
@@ -187,7 +172,7 @@ def _witness_report(witness: irreducibility.CornerWitness | None) -> dict[str, A
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    loop = _load_as_loop(args.path, args.tol)
+    loop = _certified(args.path, fileio.load_input(args.path), args.tol, Loop)
     verdict = irreducibility.classify(loop)
     report: dict[str, Any] = {"status": verdict.status}
     report.update(_witness_report(verdict.witness))
@@ -214,7 +199,7 @@ def cmd_cascade(args: argparse.Namespace) -> int:
     assert isinstance(loaded, FilterSystem)
     samples = wavelet.cascade_samples(loaded, args.iters)
     _check_budget("--iters", args.iters, samples, "samples", CASCADE_SAMPLE_BUDGET)
-    system = qmf.certify(loaded, tol=args.tol)
+    system = _certified(args.path, loaded, args.tol, FilterSystem)
     phi = wavelet.cascade(system.filters[0], system.n, args.iters, tol=args.tol)
     psi = wavelet.wavelets(system, phi)
 
@@ -244,7 +229,7 @@ def cmd_cascade(args: argparse.Namespace) -> int:
 
 
 def cmd_cuntz_check(args: argparse.Namespace) -> int:
-    system = _load_system(args.path, args.tol)
+    system = _certified(args.path, fileio.load_input(args.path), args.tol, FilterSystem)
     taps = len(stack(system.filters)[1])
     _check_budget("--band", args.band, system.n * taps * (2 * args.band + 1), "entries", BAND_ENTRY_BUDGET)
     rep = cuntz_rep.build_rep(system, cuntz_rep.Band(-args.band, args.band))
@@ -264,8 +249,8 @@ def cmd_cuntz_check(args: argparse.Namespace) -> int:
 
 
 def cmd_equiv(args: argparse.Namespace) -> int:
-    loop_a = _load_as_loop(args.path_a, args.tol)
-    loop_b = _load_as_loop(args.path_b, args.tol)
+    loop_a = _certified(args.path_a, fileio.load_input(args.path_a), args.tol, Loop)
+    loop_b = _certified(args.path_b, fileio.load_input(args.path_b), args.tol, Loop)
     verdict = irreducibility.equivalent(loop_a, loop_b, tol=args.tol)
     _emit({"verdict": verdict}, args.json)
     return PASS
@@ -282,7 +267,7 @@ def cmd_complete(args: argparse.Namespace) -> int:
     try:
         result = qmf.complete(m0, n, mode=args.mode, grid_size=grid, tol=args.tol)
     except ValueError as exc:
-        raise _MathFailure(f"{args.path}: {exc}") from exc
+        raise ValueError(f"{args.path}: {exc}") from exc
     if isinstance(result, FilterSystem):
         fileio.save_filter_file(args.out, result)
     else:
@@ -306,7 +291,7 @@ def cmd_complete(args: argparse.Namespace) -> int:
 
 
 def cmd_commutant(args: argparse.Namespace) -> int:
-    system = _load_system(args.path, args.tol)
+    system = _certified(args.path, fileio.load_input(args.path), args.tol, FilterSystem)
     size = cuntz_rep.attractor_band(system).size
     _check_budget("|K|", size, size**4, "entries of sigma", BAND_ENTRY_BUDGET)
     report = cuntz_rep._commutant(system, args.commutant_tol)
@@ -405,17 +390,22 @@ def main(argv: list[str] | None = None) -> int:
         args = _parser().parse_args(argv)
         if args.tol is None:
             args.tol = tol
-        tols = {"LOOPWAVE_TOL": tol, "--tol": args.tol, "--commutant-tol": getattr(args, "commutant_tol", 0.0)}
-        for option, value in tols.items():
-            if not value >= 0:  # NaN too; 0 is valid, since exact inputs certify at exactly 0
+        # Tolerances and sizes: 0 is valid (exact inputs certify at exactly 0,
+        # and --iters 0 is the seed), NaN is not.
+        values = {
+            "LOOPWAVE_TOL": tol,
+            "--tol": args.tol,
+            "--commutant-tol": getattr(args, "commutant_tol", 0.0),
+            "--band": getattr(args, "band", None) or 0,
+            "--iters": getattr(args, "iters", 0),
+        }
+        for option, value in values.items():
+            if not value >= 0:
                 raise FileFormatError(f"{option} must be a non-negative number, got {value!r}")
         return args.func(args)
     except (FileFormatError, _OverBudget) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
-    except _MathFailure as exc:
-        print(f"failure: {exc}", file=sys.stderr)
-        return FAIL
     except ValueError as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return FAIL

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .laurent import TRIM_TOL, _entry_spans, _in_span, _trimmed_max
+from .laurent import MatrixLaurent
 from .loopgroup import Loop, certify_loop
 
 #: Relative singular-value threshold for all rank decisions.
@@ -128,9 +128,9 @@ class Verdict:
 def _verify_witness(loop: Loop, vectors: np.ndarray, exponents: tuple[int, ...]) -> CornerWitness:
     """Re-check A(z) v_k = z^{n_k} V v_k coefficientwise on the loop's tensor.
 
-    Each entry of A(z) v_k is end-trimmed and each component of V v_k is
-    dropped at TRIM_TOL before the subtraction, as their LaurentPoly forms
-    would be, so the residual is the same per-entry trimmed maximum."""
+    Both sides are matrices whose column k is the vector of Laurent
+    polynomials (columns past m are zero), and the coefficient part of the
+    residual is their MatrixLaurent distance, each entry end-trimmed."""
     m = vectors.shape[1]
     residual = float(np.max(np.abs(vectors.conj().T @ vectors - np.eye(m))))
     images = np.column_stack(
@@ -138,16 +138,14 @@ def _verify_witness(loop: Loop, vectors: np.ndarray, exponents: tuple[int, ...])
     )
     v_matrix = vectors.conj().T @ images
     residual = max(residual, float(np.max(np.abs(v_matrix.conj().T @ v_matrix - np.eye(m)))))
-    tensor, lo = loop.mat.tensor, loop.mat.lo
-    lhs = np.stack([tensor @ vectors[:, k] for k in range(m)], axis=2)
-    rhs = np.column_stack([vectors @ v_matrix[:, k] for k in range(m)])
-    rhs[np.abs(rhs) <= TRIM_TOL] = 0.0
-    lags = np.asarray(exponents) - lo
-    start = min(0, int(lags.min()))
-    diff = np.zeros((max(len(tensor), int(lags.max()) + 1) - start, loop.n, m), dtype=complex)
-    diff[-start : len(tensor) - start] = np.where(_in_span(lhs, *_entry_spans(lhs)), lhs, 0.0)
-    diff[lags - start, :, np.arange(m)] -= rhs.T
-    residual = max(residual, _trimmed_max(diff))
+    tensor, n = loop.mat.tensor, loop.n
+    lhs = np.zeros((len(tensor), n, n), dtype=complex)
+    lhs[:, :, :m] = tensor @ vectors
+    low = min(exponents)
+    rhs = np.zeros((max(exponents) - low + 1, n, n), dtype=complex)
+    rhs[np.asarray(exponents) - low, :, np.arange(m)] = (vectors @ v_matrix).T
+    lhs_mat = MatrixLaurent.from_tensor(loop.mat.lo, lhs)
+    residual = max(residual, lhs_mat.distance(MatrixLaurent.from_tensor(low, rhs)))
     if residual > WITNESS_TOL:
         raise RuntimeError(
             f"corner witness failed symbolic re-verification (residual {residual:.3e}); "
@@ -220,11 +218,12 @@ def equivalent(a: Loop, b: Loop, tol: float = 1e-10) -> str:
     """Three-valued comparison of two certified loops.
 
     "equal" when all Laurent coefficients agree within tol.  Otherwise the
-    transition loop C = A star(B) is searched for a full-rank corner: a hit
-    certifies that the loops differ exactly by a monomial-corner factor
-    ("equal-modulo-corner"); a miss reports the loops inequivalent under
-    the classification criterion.  The middle verdict is a certificate of
-    the corner relation only, never a proof of unitary equivalence.
+    transition loop C = A star(B), certified at tol, is searched for a
+    full-rank corner: a hit certifies that the loops differ exactly by a
+    monomial-corner factor ("equal-modulo-corner"); a miss reports the loops
+    inequivalent under the classification criterion.  The middle verdict is
+    a certificate of the corner relation only, never a proof of unitary
+    equivalence.
     """
     if not (a.certified and b.certified):
         raise ValueError("equivalence comparison requires certified loops")
@@ -232,7 +231,7 @@ def equivalent(a: Loop, b: Loop, tol: float = 1e-10) -> str:
         raise ValueError(f"size mismatch: {a.n} vs {b.n}")
     if a.mat.distance(b.mat) <= tol:
         return EQUAL
-    c = certify_loop(a.mat @ b.mat.star())
+    c = certify_loop(a.mat @ b.mat.star(), tol)
     witness = detect_corner(c)
     if witness is not None and witness.m == a.n:
         return EQUAL_MODULO_CORNER

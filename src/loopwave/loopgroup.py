@@ -40,7 +40,7 @@ class FilterSystem:
     ``verified`` records that the system passed the QMF test (equivalently,
     that its polyphase loop is paraunitary).  Constructing with
     verified=True is reserved for code paths that have actually established
-    this; user input goes through qmf.certify.
+    this; user input is certified first, by qmf.certify or its polyphase loop.
     """
 
     n: int
@@ -95,12 +95,6 @@ def certify_loop(mat: MatrixLaurent, tol: float = CERTIFY_TOL) -> Loop:
     return Loop(mat, certified=True)
 
 
-def try_certify_loop(mat: MatrixLaurent, tol: float = CERTIFY_TOL) -> Loop:
-    """Like certify_loop but returns an uncertified Loop instead of raising."""
-    ok, _ = mat.is_paraunitary(tol)
-    return Loop(mat, certified=ok)
-
-
 def base_system(n: int) -> FilterSystem:
     """The base monomial system m_k(z) = z^k / sqrt(n), the identity's image."""
     s = 1.0 / math.sqrt(n)
@@ -150,7 +144,8 @@ def polyphase_matrix(system: FilterSystem) -> MatrixLaurent:
 
 def filters_to_loop(system: FilterSystem, tol: float = CERTIFY_TOL) -> Loop:
     """Polyphase loop of a filter system, certified only when it is paraunitary."""
-    return try_certify_loop(polyphase_matrix(system), tol)
+    mat = polyphase_matrix(system)
+    return Loop(mat, certified=mat.is_paraunitary(tol).ok)
 
 
 def act(loop: Loop, system: FilterSystem) -> FilterSystem:
