@@ -17,7 +17,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Any, TypeVar
+from typing import Any
 
 import numpy as np
 
@@ -27,8 +27,6 @@ from .laurent import MatrixLaurent, stack
 from .loopgroup import FilterSystem, Loop, loop_to_filters, polyphase_matrix
 
 PASS, FAIL, USAGE = 0, 1, 2
-
-_Form = TypeVar("_Form", Loop, FilterSystem)
 
 #: Rows of the cascade CSV formatted and written at a time.
 CSV_CHUNK_ROWS = 4096
@@ -67,18 +65,20 @@ def _emit(report: dict[str, Any], as_json: bool) -> None:
             print(f"{key}: {value}")
 
 
-def _certified(path: str, loaded: FilterSystem | MatrixLaurent, tol: float, form: type[_Form]) -> _Form:
-    """The input as ``form``, a Loop or a FilterSystem, once its loop (for a
-    filter file, the polyphase loop) passes one paraunitarity certificate."""
-    is_system = isinstance(loaded, FilterSystem)
-    mat = polyphase_matrix(loaded) if is_system else loaded
+def _certify(path: str, loaded: FilterSystem | MatrixLaurent, tol: float) -> Loop:
+    """The input's loop (for a filter file, the polyphase loop), once it
+    passes one paraunitarity certificate."""
+    mat = polyphase_matrix(loaded) if isinstance(loaded, FilterSystem) else loaded
     ok, residual = mat.is_paraunitary(tol)
     if not ok:
         raise ValueError(f"{path}: input does not define a paraunitary loop (residual {residual:.3e})")
-    loop = Loop(mat, certified=True)
-    if form is Loop:
-        return loop
-    return loaded.with_verified(True) if is_system else loop_to_filters(loop)
+    return Loop(mat, certified=True)
+
+
+def _certified_system(path: str, loaded: FilterSystem | MatrixLaurent, tol: float) -> FilterSystem:
+    """The input as a filter system, once its loop passes ``_certify``."""
+    loop = _certify(path, loaded, tol)
+    return loaded.with_verified(True) if isinstance(loaded, FilterSystem) else loop_to_filters(loop)
 
 
 class _OverBudget(Exception):
@@ -148,11 +148,11 @@ def cmd_convert(args: argparse.Namespace) -> int:
     if args.to == "loop":
         if not isinstance(loaded, FilterSystem):
             raise FileFormatError(f"{args.path}: expected a filter file for --to loop")
-        fileio.save_loop_file(args.out, _certified(args.path, loaded, args.tol, Loop).mat)
+        fileio.save_loop_file(args.out, _certify(args.path, loaded, args.tol).mat)
     else:
         if isinstance(loaded, FilterSystem):
             raise FileFormatError(f"{args.path}: expected a loop file for --to filters")
-        fileio.save_filter_file(args.out, _certified(args.path, loaded, args.tol, FilterSystem))
+        fileio.save_filter_file(args.out, _certified_system(args.path, loaded, args.tol))
     print(f"wrote {args.out}")
     return PASS
 
@@ -172,8 +172,8 @@ def _witness_report(witness: irreducibility.CornerWitness | None) -> dict[str, A
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    loop = _certified(args.path, fileio.load_input(args.path), args.tol, Loop)
-    verdict = irreducibility.classify(loop)
+    loop = _certify(args.path, fileio.load_input(args.path), args.tol)
+    verdict = irreducibility.classify(loop, tol=args.tol)
     report: dict[str, Any] = {"status": verdict.status}
     report.update(_witness_report(verdict.witness))
     report["semantics_note"] = verdict.semantics_note
@@ -199,7 +199,7 @@ def cmd_cascade(args: argparse.Namespace) -> int:
     assert isinstance(loaded, FilterSystem)
     samples = wavelet.cascade_samples(loaded, args.iters)
     _check_budget("--iters", args.iters, samples, "samples", CASCADE_SAMPLE_BUDGET)
-    system = _certified(args.path, loaded, args.tol, FilterSystem)
+    system = _certified_system(args.path, loaded, args.tol)
     phi = wavelet.cascade(system.filters[0], system.n, args.iters, tol=args.tol)
     psi = wavelet.wavelets(system, phi)
 
@@ -229,7 +229,7 @@ def cmd_cascade(args: argparse.Namespace) -> int:
 
 
 def cmd_cuntz_check(args: argparse.Namespace) -> int:
-    system = _certified(args.path, fileio.load_input(args.path), args.tol, FilterSystem)
+    system = _certified_system(args.path, fileio.load_input(args.path), args.tol)
     taps = len(stack(system.filters)[1])
     _check_budget("--band", args.band, system.n * taps * (2 * args.band + 1), "entries", BAND_ENTRY_BUDGET)
     rep = cuntz_rep.build_rep(system, cuntz_rep.Band(-args.band, args.band))
@@ -249,8 +249,8 @@ def cmd_cuntz_check(args: argparse.Namespace) -> int:
 
 
 def cmd_equiv(args: argparse.Namespace) -> int:
-    loop_a = _certified(args.path_a, fileio.load_input(args.path_a), args.tol, Loop)
-    loop_b = _certified(args.path_b, fileio.load_input(args.path_b), args.tol, Loop)
+    loop_a = _certify(args.path_a, fileio.load_input(args.path_a), args.tol)
+    loop_b = _certify(args.path_b, fileio.load_input(args.path_b), args.tol)
     verdict = irreducibility.equivalent(loop_a, loop_b, tol=args.tol)
     _emit({"verdict": verdict}, args.json)
     return PASS
@@ -291,7 +291,7 @@ def cmd_complete(args: argparse.Namespace) -> int:
 
 
 def cmd_commutant(args: argparse.Namespace) -> int:
-    system = _certified(args.path, fileio.load_input(args.path), args.tol, FilterSystem)
+    system = _certified_system(args.path, fileio.load_input(args.path), args.tol)
     size = cuntz_rep.attractor_band(system).size
     _check_budget("|K|", size, size**4, "entries of sigma", BAND_ENTRY_BUDGET)
     report = cuntz_rep._commutant(system, args.commutant_tol)

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .laurent import MatrixLaurent
-from .loopgroup import Loop, certify_loop
+from .loopgroup import CERTIFY_TOL, Loop, certify_loop
 
 #: Relative singular-value threshold for all rank decisions.
 RANK_TOL = 1e-10
@@ -46,8 +46,8 @@ SEMANTICS_NOTE = (
 )
 
 
-def _null_space(mat: np.ndarray, ambient_dim: int) -> np.ndarray:
-    """Orthonormal basis (as columns) of the null space at RANK_TOL.
+def _null_space(mat: np.ndarray, ambient_dim: int, tol: float = RANK_TOL) -> np.ndarray:
+    """Orthonormal basis (as columns) of the null space at tol.
 
     The threshold is relative to max(1, largest singular value): the inputs
     here are built from unit vectors and contraction-sized coefficients, so
@@ -59,19 +59,20 @@ def _null_space(mat: np.ndarray, ambient_dim: int) -> np.ndarray:
     if mat.size == 0:
         return np.eye(ambient_dim, dtype=complex)
     _, svals, vh = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
-    thresh = RANK_TOL * max(1.0, svals[0] if svals.size else 0.0)
+    thresh = tol * max(1.0, svals[0] if svals.size else 0.0)
     rank = int(np.count_nonzero(svals > thresh))
     return vh[rank:].conj().T
 
 
-def graded_kernels(loop: Loop) -> dict[int, np.ndarray]:
-    """Orthonormal bases of K_n = common kernel of all coefficients but A_n.
+def graded_kernels(loop: Loop, tol: float = RANK_TOL) -> dict[int, np.ndarray]:
+    """Orthonormal bases of K_n = common kernel of all coefficients but A_n,
+    with ranks decided at tol.
 
     Only nonnegative exponents in the support are graded (exponents outside
     the support have K_n = 0 automatically since the coefficients of a
     paraunitary loop have no common kernel).  The returned bases are
     mutually orthogonal across exponents; that this holds is a consequence
-    of paraunitarity and is re-checked here.
+    of paraunitarity and is re-checked here, at tol.
     """
     if not loop.certified:
         raise ValueError("graded kernels require a certified paraunitary loop")
@@ -82,7 +83,7 @@ def graded_kernels(loop: Loop) -> dict[int, np.ndarray]:
         if exp < 0:
             continue
         others = [c - loop.mat.lo for c in support if c != exp]
-        basis = _null_space(loop.mat.tensor[others].reshape(-1, n), n)
+        basis = _null_space(loop.mat.tensor[others].reshape(-1, n), n, tol)
         if basis.shape[1] > 0:
             out[exp] = basis
     exps = sorted(out)
@@ -91,7 +92,7 @@ def graded_kernels(loop: Loop) -> dict[int, np.ndarray]:
         bounds = np.cumsum([0] + [out[e].shape[1] for e in exps])[:-1]
         gram = np.abs(stacked.conj().T @ stacked)
         block = np.maximum.reduceat(np.maximum.reduceat(gram, bounds, axis=0), bounds, axis=1)
-        offending = np.argwhere(np.triu(block > 1e-10, 1))
+        offending = np.argwhere(np.triu(block > tol, 1))
         if len(offending):
             a, b = offending[0]
             raise RuntimeError(
@@ -125,8 +126,10 @@ class Verdict:
     semantics_note: str = SEMANTICS_NOTE
 
 
-def _verify_witness(loop: Loop, vectors: np.ndarray, exponents: tuple[int, ...]) -> CornerWitness:
-    """Re-check A(z) v_k = z^{n_k} V v_k coefficientwise on the loop's tensor.
+def _verify_witness(
+    loop: Loop, vectors: np.ndarray, exponents: tuple[int, ...], tol: float = WITNESS_TOL
+) -> CornerWitness:
+    """Re-check A(z) v_k = z^{n_k} V v_k coefficientwise on the loop's tensor, at tol.
 
     Both sides are matrices whose column k is the vector of Laurent
     polynomials (columns past m are zero), and the coefficient part of the
@@ -146,7 +149,7 @@ def _verify_witness(loop: Loop, vectors: np.ndarray, exponents: tuple[int, ...])
     rhs[np.asarray(exponents) - low, :, np.arange(m)] = (vectors @ v_matrix).T
     lhs_mat = MatrixLaurent.from_tensor(loop.mat.lo, lhs)
     residual = max(residual, lhs_mat.distance(MatrixLaurent.from_tensor(low, rhs)))
-    if residual > WITNESS_TOL:
+    if residual > tol:
         raise RuntimeError(
             f"corner witness failed symbolic re-verification (residual {residual:.3e}); "
             "rank decisions were inconsistent"
@@ -160,8 +163,13 @@ def _verify_witness(loop: Loop, vectors: np.ndarray, exponents: tuple[int, ...])
     )
 
 
-def detect_corner(loop: Loop) -> Optional[CornerWitness]:
+def detect_corner(loop: Loop, tol: float = RANK_TOL) -> Optional[CornerWitness]:
     """Find the maximal corner of a certified loop, or None.
+
+    Every rank decision and the witness re-check are made at tol, the
+    tolerance the loop was certified at, and never below RANK_TOL: a loop
+    that is paraunitary only within tol has coefficients off by about tol,
+    which a finer test would read as structure.
 
     Starting from the full graded kernels, alternately discards the part of
     each graded piece whose image under its coefficient map leaves the
@@ -172,7 +180,8 @@ def detect_corner(loop: Loop) -> Optional[CornerWitness]:
     """
     if not loop.certified:
         raise ValueError("corner detection requires a certified paraunitary loop")
-    kernels = graded_kernels(loop)
+    tol = max(tol, RANK_TOL)
+    kernels = graded_kernels(loop, tol)
     if not kernels:
         return None
     coeff = {exp: loop.mat.tensor[exp - loop.mat.lo] for exp in kernels}
@@ -184,7 +193,7 @@ def detect_corner(loop: Loop) -> Optional[CornerWitness]:
             b = pieces[exp]
             img = coeff[exp] @ b
             outside = img - basis @ (basis.conj().T @ img)
-            keep = _null_space(outside, b.shape[1])
+            keep = _null_space(outside, b.shape[1], tol)
             if keep.shape[1] < b.shape[1]:
                 changed = True
                 if keep.shape[1] == 0:
@@ -203,12 +212,12 @@ def detect_corner(loop: Loop) -> Optional[CornerWitness]:
             exps.append(exp)
             cols.append(b[:, k])
     vectors = np.column_stack(cols)
-    return _verify_witness(loop, vectors, tuple(exps))
+    return _verify_witness(loop, vectors, tuple(exps), tol)
 
 
-def classify(loop: Loop) -> Verdict:
-    """Irreducible iff no corner exists, under the documented corner reading."""
-    witness = detect_corner(loop)
+def classify(loop: Loop, tol: float = RANK_TOL) -> Verdict:
+    """Irreducible iff no corner exists at tol, under the documented corner reading."""
+    witness = detect_corner(loop, tol)
     if witness is None:
         return Verdict(status=IRREDUCIBLE, witness=None)
     return Verdict(status=REDUCIBLE, witness=witness)
@@ -218,9 +227,10 @@ def equivalent(a: Loop, b: Loop, tol: float = 1e-10) -> str:
     """Three-valued comparison of two certified loops.
 
     "equal" when all Laurent coefficients agree within tol.  Otherwise the
-    transition loop C = A star(B), certified at tol, is searched for a
-    full-rank corner: a hit certifies that the loops differ exactly by a
-    monomial-corner factor ("equal-modulo-corner"); a miss reports the loops
+    transition loop C = A star(B) is certified, and searched for a
+    full-rank corner, at tol but never below CERTIFY_TOL (its residual adds
+    the inputs' residuals and round-off): a hit certifies that the loops
+    differ exactly by a monomial-corner factor ("equal-modulo-corner"); a miss reports the loops
     inequivalent under the classification criterion.  The middle verdict is
     a certificate of the corner relation only, never a proof of unitary
     equivalence.
@@ -231,8 +241,8 @@ def equivalent(a: Loop, b: Loop, tol: float = 1e-10) -> str:
         raise ValueError(f"size mismatch: {a.n} vs {b.n}")
     if a.mat.distance(b.mat) <= tol:
         return EQUAL
-    c = certify_loop(a.mat @ b.mat.star(), tol)
-    witness = detect_corner(c)
+    tol = max(tol, CERTIFY_TOL)
+    witness = detect_corner(certify_loop(a.mat @ b.mat.star(), tol), tol)
     if witness is not None and witness.m == a.n:
         return EQUAL_MODULO_CORNER
     return INEQUIVALENT

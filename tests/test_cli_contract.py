@@ -26,6 +26,28 @@ def _loose_loop() -> MatrixLaurent:
     return MatrixLaurent.from_tensor(0, tensor)
 
 
+#: A constant unitary, the turn by 0.7 radians.
+TURN = np.array([[np.cos(0.7), -np.sin(0.7)], [np.sin(0.7), np.cos(0.7)]], dtype=complex)
+
+
+def _near_turn() -> MatrixLaurent:
+    """TURN perturbed by LOOSE, paraunitary only within 1e-6."""
+    c = TURN.copy()
+    c[0, 0] += LOOSE
+    return MatrixLaurent.from_constant(c)
+
+
+def _fine_pair() -> tuple[MatrixLaurent, MatrixLaurent]:
+    """Two loops perturbed by 4e-12 whose transition loop A star(B) has a
+    larger certificate residual than either input."""
+    pair = []
+    for seed in (1, 51):
+        tensor = np.array(lw.random_paraunitary(2, 2, seed).mat.tensor)
+        tensor[0, 0, 0] += 4e-12
+        pair.append(MatrixLaurent.from_tensor(0, tensor))
+    return pair[0], pair[1]
+
+
 def _write_inputs(root: Path) -> None:
     """The battery's inputs, written under root; missing.json is not."""
     filters = {
@@ -156,6 +178,41 @@ class TestCallerTolerance:
         assert lw.equivalent(a, b, tol=1e-6) == lw.irreducibility.INEQUIVALENT
         with pytest.raises(ValueError, match="not paraunitary"):
             lw.equivalent(a, b)
+
+    def test_corners_are_found_at_the_callers_tolerance(self, inputs, capsys):
+        """A loop certified only within --tol has its corners searched and
+        re-checked at --tol, so the exact verdict comes out, not a crash."""
+        fileio.save_loop_file(inputs / "turn.json", _near_turn())
+        fileio.save_loop_file(inputs / "uloose.json", MatrixLaurent.from_constant(TURN) @ _loose_loop())
+        for argv in (["equiv", "turn.json", "ident.json"], ["equiv", "loose.json", "uloose.json"]):
+            code, out, err, _ = _run(argv + ["--tol", "1e-6", "--json"], capsys)
+            assert (code, err) == (0, "")
+            assert json.loads(out)["verdict"] == lw.irreducibility.EQUAL_MODULO_CORNER
+        code, out, err, _ = _run(["classify", "turn.json", "--tol", "1e-6", "--json"], capsys)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert (report["status"], report["witness"]["rank"]) == (lw.irreducibility.REDUCIBLE, 2)
+
+    def test_corner_library(self):
+        c = lw.certify_loop(_near_turn(), 1e-6)
+        ident = lw.certify_loop(MatrixLaurent.identity(2))
+        assert lw.equivalent(c, ident, tol=1e-6) == lw.irreducibility.EQUAL_MODULO_CORNER
+        assert lw.detect_corner(c, 1e-6).m == 2
+        with pytest.raises(RuntimeError, match="re-verification"):
+            lw.detect_corner(c)
+
+    def test_finer_tolerance_than_the_default(self, inputs, capsys):
+        """Below 1e-10 the transition loop is certified at 1e-10, so inputs
+        that pass at --tol are compared even when the product's round-off
+        exceeds --tol."""
+        a, b = _fine_pair()
+        tol = max(a.is_paraunitary().residual, b.is_paraunitary().residual)
+        assert 1e-14 < tol < (a @ b.star()).is_paraunitary().residual < 1e-10
+        fileio.save_loop_file(inputs / "fa.json", a)
+        fileio.save_loop_file(inputs / "fb.json", b)
+        for argv in (["equiv", "fa.json", "fb.json", "--tol", repr(tol)], ["equiv", "d4.json", "loop2.json", "--tol", "1e-14"]):
+            code, out, err, _ = _run(argv, capsys)
+            assert (code, out, err) == (0, f"verdict: {lw.irreducibility.INEQUIVALENT}\n", "")
 
 
 #: (argv, certificates run, verify_qmf calls) for calls that pass.
