@@ -23,8 +23,8 @@ import numpy as np
 
 from . import cuntz_rep, fileio, irreducibility, qmf, wavelet
 from .fileio import FileFormatError
-from .laurent import MatrixLaurent, stack
-from .loopgroup import FilterSystem, Loop, loop_to_filters, polyphase_matrix
+from .laurent import CERTIFY_TOL, MatrixLaurent, stack
+from .loopgroup import FilterSystem, Loop, certify_loop, loop_to_filters, polyphase_matrix
 
 PASS, FAIL, USAGE = 0, 1, 2
 
@@ -47,10 +47,10 @@ GRID_VALUE_BUDGET = 1 << 21
 BAND_ENTRY_BUDGET = 1 << 24
 
 
-def _default_tol(fallback: float = 1e-10) -> float:
+def _default_tol() -> float:
     raw = os.environ.get("LOOPWAVE_TOL")
     if raw is None:
-        return fallback
+        return CERTIFY_TOL
     try:
         return float(raw)
     except ValueError as exc:
@@ -68,11 +68,10 @@ def _emit(report: dict[str, Any], as_json: bool) -> None:
 def _certify(path: str, loaded: FilterSystem | MatrixLaurent, tol: float) -> Loop:
     """The input's loop (for a filter file, the polyphase loop), once it
     passes one paraunitarity certificate."""
-    mat = polyphase_matrix(loaded) if isinstance(loaded, FilterSystem) else loaded
-    ok, residual = mat.is_paraunitary(tol)
-    if not ok:
-        raise ValueError(f"{path}: input does not define a paraunitary loop (residual {residual:.3e})")
-    return Loop(mat, certified=True)
+    try:
+        return certify_loop(polyphase_matrix(loaded) if isinstance(loaded, FilterSystem) else loaded, tol)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _certified_system(path: str, loaded: FilterSystem | MatrixLaurent, tol: float) -> FilterSystem:
@@ -124,7 +123,7 @@ def _cells(values: np.ndarray) -> list[str]:
 def cmd_verify(args: argparse.Namespace) -> int:
     loaded = fileio.load_filter_file(args.path)
     assert isinstance(loaded, FilterSystem)
-    # Resolved here for the same reason as in qmf.certify.
+    # Resolved here for the budget; the tracer (bench/spans.py) sums it from verify_qmf's arguments.
     grid = qmf.default_grid(loaded.n) if args.grid is None else args.grid
     _check_budget("--grid", grid, grid * loaded.n, "grid values", GRID_VALUE_BUDGET)
     report = qmf.verify_qmf(loaded, tol=args.tol, grid_size=grid)
@@ -261,7 +260,7 @@ def cmd_complete(args: argparse.Namespace) -> int:
     assert isinstance(loaded, tuple)
     n, polys = loaded
     m0 = polys[0]
-    # fir2 verifies its result on the grid: N values a point, counted as N^2.
+    # Grid mode writes N^2 values a point; fir2 only checks --grid, under the same budget.
     grid = qmf.default_grid(n) if args.grid is None else args.grid
     _check_budget("--grid", grid, grid * n * n, "grid values", GRID_VALUE_BUDGET)
     try:
@@ -315,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify, convert, classify, synthesize.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # --tol has no default here: main() fills in LOOPWAVE_TOL or 1e-10 on
+    # --tol has no default here: main() fills in LOOPWAVE_TOL or CERTIFY_TOL on
     # every call, so that one parser serves every call of a process.
 
     p = sub.add_parser("verify", help="QMF verification report for a filter file")
@@ -371,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--band", type=int, default=None, help="ignored: the commutant is computed on the attractor band K")
     p.add_argument("--tol", type=float)
-    p.add_argument("--commutant-tol", type=float, default=1e-6, dest="commutant_tol")
+    p.add_argument("--commutant-tol", type=float, default=cuntz_rep.COMMUTANT_TOL, dest="commutant_tol")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_commutant)
 

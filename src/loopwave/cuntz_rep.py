@@ -21,8 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .laurent import MatrixLaurent, stack
+from .laurent import CERTIFY_TOL, MatrixLaurent, stack
 from .loopgroup import FilterSystem, polyphase_matrix
+
+#: Singular values of sigma - I below this count toward the commutant dimension.
+COMMUTANT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -314,7 +317,7 @@ def reconstruct(rep: TruncatedRep, f: np.ndarray) -> tuple[np.ndarray, float]:
     return g, float(np.max(np.abs(g - f)))
 
 
-def transition_operator_matrix(rep_a: TruncatedRep, rep_b: TruncatedRep, tol: float = 1e-10) -> MatrixLaurent:
+def transition_operator_matrix(rep_a: TruncatedRep, rep_b: TruncatedRep, tol: float = CERTIFY_TOL) -> MatrixLaurent:
     """Multiplication symbols of S_i^(a)* S_j^(b) as a matrix of Laurent polynomials.
 
     Each symbol is the exact polyphase fiber sum of conj(n_i) m_j: entry
@@ -366,7 +369,7 @@ class CommutantReport:
     band: Band
 
 
-def commutant_diagnostic(rep: TruncatedRep, tol: float = 1e-6) -> CommutantReport:
+def commutant_diagnostic(rep: TruncatedRep, tol: float = COMMUTANT_TOL) -> CommutantReport:
     """Dimension of the operators commuting with all S_i and S_i^*.
 
     With [t_min, t_max] the combined filter support, the attractor band is

@@ -19,14 +19,11 @@ from typing import Optional
 
 import numpy as np
 
-from .laurent import MatrixLaurent
-from .loopgroup import CERTIFY_TOL, Loop, certify_loop
+from .laurent import CERTIFY_TOL, MatrixLaurent
+from .loopgroup import Loop, certify_loop
 
 #: Relative singular-value threshold for all rank decisions.
 RANK_TOL = 1e-10
-
-#: Coefficient-level tolerance for witness self-verification.
-WITNESS_TOL = 1e-10
 
 IRREDUCIBLE = "irreducible"
 REDUCIBLE = "reducible"
@@ -95,9 +92,9 @@ def graded_kernels(loop: Loop, tol: float = RANK_TOL) -> dict[int, np.ndarray]:
         offending = np.argwhere(np.triu(block > tol, 1))
         if len(offending):
             a, b = offending[0]
-            raise RuntimeError(
-                f"graded kernels K_{exps[a]} and K_{exps[b]} are not orthogonal "
-                f"(overlap {block[a, b]:.3e}); input loop is not paraunitary enough"
+            raise ValueError(
+                f"graded kernels K_{exps[a]} and K_{exps[b]} are not orthogonal (overlap {block[a, b]:.3e} "
+                f"> tol {tol:.3e}); the loop is not paraunitary closely enough to be graded at this tol"
             )
     return out
 
@@ -127,7 +124,7 @@ class Verdict:
 
 
 def _verify_witness(
-    loop: Loop, vectors: np.ndarray, exponents: tuple[int, ...], tol: float = WITNESS_TOL
+    loop: Loop, vectors: np.ndarray, exponents: tuple[int, ...], tol: float = CERTIFY_TOL
 ) -> CornerWitness:
     """Re-check A(z) v_k = z^{n_k} V v_k coefficientwise on the loop's tensor, at tol.
 
@@ -150,9 +147,9 @@ def _verify_witness(
     lhs_mat = MatrixLaurent.from_tensor(loop.mat.lo, lhs)
     residual = max(residual, lhs_mat.distance(MatrixLaurent.from_tensor(low, rhs)))
     if residual > tol:
-        raise RuntimeError(
-            f"corner witness failed symbolic re-verification (residual {residual:.3e}); "
-            "rank decisions were inconsistent"
+        raise ValueError(
+            f"corner witness failed symbolic re-verification (residual {residual:.3e} > tol {tol:.3e}); "
+            "the loop is not paraunitary closely enough for its corners to be decided at this tol"
         )
     return CornerWitness(
         m=m,
@@ -171,6 +168,11 @@ def detect_corner(loop: Loop, tol: float = RANK_TOL) -> Optional[CornerWitness]:
     that is paraunitary only within tol has coefficients off by about tol,
     which a finer test would read as structure.
 
+    Raises ValueError before searching when tol >= 1, which counts every
+    coefficient singular value (at most 1, as sum_c A_c* A_c = I) as zero;
+    and when a re-check fails at tol, which no bound in tol alone excludes:
+    kernel bases are off by about tol over the smallest singular-value gap.
+
     Starting from the full graded kernels, alternately discards the part of
     each graded piece whose image under its coefficient map leaves the
     current candidate subspace, until stable.  The restricted maps are
@@ -178,8 +180,8 @@ def detect_corner(loop: Loop, tol: float = RANK_TOL) -> Optional[CornerWitness]:
     corner identity holds; the resulting witness is re-verified at the
     coefficient level before being returned.
     """
-    if not loop.certified:
-        raise ValueError("corner detection requires a certified paraunitary loop")
+    if tol >= 1:
+        raise ValueError(f"tol {tol!r} >= 1 decides no rank: no coefficient singular value exceeds 1")
     tol = max(tol, RANK_TOL)
     kernels = graded_kernels(loop, tol)
     if not kernels:
@@ -223,26 +225,28 @@ def classify(loop: Loop, tol: float = RANK_TOL) -> Verdict:
     return Verdict(status=REDUCIBLE, witness=witness)
 
 
-def equivalent(a: Loop, b: Loop, tol: float = 1e-10) -> str:
+def equivalent(a: Loop, b: Loop, tol: float = CERTIFY_TOL) -> str:
     """Three-valued comparison of two certified loops.
 
     "equal" when all Laurent coefficients agree within tol.  Otherwise the
-    transition loop C = A star(B) is certified, and searched for a
-    full-rank corner, at tol but never below CERTIFY_TOL (its residual adds
-    the inputs' residuals and round-off): a hit certifies that the loops
-    differ exactly by a monomial-corner factor ("equal-modulo-corner"); a miss reports the loops
-    inequivalent under the classification criterion.  The middle verdict is
-    a certificate of the corner relation only, never a proof of unitary
-    equivalence.
+    transition loop C = A star(B) is certified (its residual is not bounded
+    by the inputs': for B = U A it comes from A star(A), not star(A) A), and
+    searched for a full-rank corner, at tol but never below CERTIFY_TOL: a
+    hit certifies that the loops differ exactly by a monomial-corner factor
+    ("equal-modulo-corner"); a miss reports the loops inequivalent under the
+    classification criterion.  The middle verdict is a certificate of the
+    corner relation only, never a proof of unitary equivalence.
     """
     if not (a.certified and b.certified):
         raise ValueError("equivalence comparison requires certified loops")
-    if a.n != b.n:
-        raise ValueError(f"size mismatch: {a.n} vs {b.n}")
     if a.mat.distance(b.mat) <= tol:
         return EQUAL
     tol = max(tol, CERTIFY_TOL)
-    witness = detect_corner(certify_loop(a.mat @ b.mat.star(), tol), tol)
+    try:
+        transition = certify_loop(a.mat @ b.mat.star(), tol)
+    except ValueError as exc:
+        raise ValueError(f"the loops are not compared: their transition loop A star(B) is {exc}") from exc
+    witness = detect_corner(transition, tol)
     if witness is not None and witness.m == a.n:
         return EQUAL_MODULO_CORNER
     return INEQUIVALENT

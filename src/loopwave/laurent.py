@@ -27,6 +27,9 @@ TRIM_TOL = 1e-14
 # |z| must be within this of 1 for point evaluation.
 UNIT_CIRCLE_TOL = 1e-12
 
+#: The default tolerance of every check that certifies or compares loops.
+CERTIFY_TOL = 1e-10
+
 
 def _as_complex_tuple(coeffs: Iterable[complex] | np.ndarray) -> tuple[complex, ...]:
     if isinstance(coeffs, np.ndarray) and coeffs.ndim == 1:
@@ -174,10 +177,7 @@ class LaurentPoly:
 
     def __call__(self, z: complex) -> complex:
         """Evaluate at a point of the unit circle (Horner on the coefficients)."""
-        z = complex(z)
-        if abs(abs(z) - 1.0) > UNIT_CIRCLE_TOL:
-            raise ValueError(f"evaluation point must lie on the unit circle, |z| = {abs(z)!r}")
-        return horner(self.offset, self.coeffs, z)
+        return horner(self.offset, self.coeffs, _circle_point(z))
 
     # -- comparisons -------------------------------------------------------
 
@@ -204,6 +204,13 @@ class LaurentPoly:
             else:
                 parts.append(f"{term}*z^{k}")
         return " + ".join(parts)
+
+
+def _circle_point(z: complex) -> complex:
+    z = complex(z)
+    if abs(abs(z) - 1.0) > UNIT_CIRCLE_TOL:
+        raise ValueError(f"evaluation point must lie on the unit circle, |z| = {abs(z)!r}")
+    return z
 
 
 def _coerce(x: LaurentPoly | complex) -> LaurentPoly:
@@ -481,10 +488,7 @@ class MatrixLaurent:
         return unstack(self.lo, self.tensor @ v)
 
     def eval(self, z: complex) -> np.ndarray:
-        z = complex(z)
-        if abs(abs(z) - 1.0) > UNIT_CIRCLE_TOL:
-            raise ValueError(f"evaluation point must lie on the unit circle, |z| = {abs(z)!r}")
-        return horner(self.lo, self.tensor, z)
+        return horner(self.lo, self.tensor, _circle_point(z))
 
     def distance(self, other: MatrixLaurent) -> float:
         """Max coefficient modulus of self - other, each entry end-trimmed."""
@@ -494,7 +498,7 @@ class MatrixLaurent:
     def max_abs(self) -> float:
         return _trimmed_max(self.tensor)
 
-    def is_paraunitary(self, tol: float = 1e-10) -> ParaunitaryResult:
+    def is_paraunitary(self, tol: float = CERTIFY_TOL) -> ParaunitaryResult:
         """Certify star(M) @ M = I at the coefficient level.
 
         Returns the verdict together with the max residual coefficient

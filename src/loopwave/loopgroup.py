@@ -27,10 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .laurent import LaurentPoly, MatrixLaurent, stack, unstack
-
-#: Default tolerance for coefficient-level paraunitarity certification.
-CERTIFY_TOL = 1e-10
+from .laurent import CERTIFY_TOL, LaurentPoly, MatrixLaurent, stack, unstack
 
 
 @dataclass(frozen=True)
@@ -91,7 +88,7 @@ def certify_loop(mat: MatrixLaurent, tol: float = CERTIFY_TOL) -> Loop:
     """Check paraunitarity at the coefficient level and wrap as a certified loop."""
     ok, residual = mat.is_paraunitary(tol)
     if not ok:
-        raise ValueError(f"matrix is not paraunitary: residual {residual:.3e} > {tol:.1e}")
+        raise ValueError(f"not paraunitary: residual {residual:.3e} > tol {tol:.3e}")
     return Loop(mat, certified=True)
 
 
@@ -156,8 +153,6 @@ def act(loop: Loop, system: FilterSystem) -> FilterSystem:
     """
     if not loop.certified:
         raise ValueError("loop must be certified paraunitary")
-    if loop.n != system.n:
-        raise ValueError(f"size mismatch: loop {loop.n} vs system {system.n}")
     out = interleave(loop.mat @ polyphase_matrix(system))
     # The defining orthogonality computation shows the action preserves QMF.
     return FilterSystem(system.n, out, verified=system.verified)
@@ -177,8 +172,6 @@ def transition(target: FilterSystem, source: FilterSystem, tol: float = CERTIFY_
     """
     if not (target.verified and source.verified):
         raise ValueError("transition requires verified filter systems")
-    if target.n != source.n:
-        raise ValueError("scale mismatch")
     return certify_loop(polyphase_matrix(target) @ polyphase_matrix(source).star(), tol)
 
 

@@ -17,11 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .laurent import LaurentPoly, horner, lag_adjoint, lag_convolve, stack, unit_grid
-from .loopgroup import FilterSystem, decimate, polyphase_matrix
+from .laurent import CERTIFY_TOL, LaurentPoly, horner, lag_adjoint, lag_convolve, stack, unit_grid
+from .loopgroup import FilterSystem, certify_loop, decimate, polyphase_matrix
 
-#: Default coefficient-level tolerance for the exact QMF certificate.
-EXACT_TOL = 1e-10
 #: Default number of circle samples for grid cross-checks, rounded up to a
 #: multiple of N by default_grid.
 DEFAULT_GRID = 256
@@ -96,7 +94,16 @@ def default_grid(n: int) -> int:
     return -(-DEFAULT_GRID // n) * n
 
 
-def verify_qmf(system: FilterSystem, tol: float = EXACT_TOL, grid_size: int | None = None) -> QmfReport:
+def _grid_size(n: int, grid_size: int | None) -> int:
+    """grid_size, default_grid(n) when None, once it is a positive multiple of n."""
+    if grid_size is None:
+        return default_grid(n)
+    if grid_size <= 0 or grid_size % n != 0:
+        raise ValueError(f"grid_size must be a positive multiple of {n}")
+    return grid_size
+
+
+def verify_qmf(system: FilterSystem, tol: float = CERTIFY_TOL, grid_size: int | None = None) -> QmfReport:
     """Full QMF report for a filter system.
 
     The exact check is paraunitarity of the polyphase loop; the grid check
@@ -111,10 +118,7 @@ def verify_qmf(system: FilterSystem, tol: float = EXACT_TOL, grid_size: int | No
     defaults to default_grid(N).
     """
     n = system.n
-    if grid_size is None:
-        grid_size = default_grid(n)
-    if grid_size <= 0 or grid_size % n != 0:
-        raise ValueError(f"grid_size must be a positive multiple of {n}")
+    grid_size = _grid_size(n, grid_size)
     _, unitary_residual = polyphase_matrix(system).is_paraunitary(tol)
 
     lo, c = stack(system.filters)
@@ -132,15 +136,11 @@ def verify_qmf(system: FilterSystem, tol: float = EXACT_TOL, grid_size: int | No
     )
 
 
-def certify(system: FilterSystem, tol: float = EXACT_TOL, grid_size: int | None = None) -> FilterSystem:
-    """Return the system flagged verified-QMF, or raise if it fails the test."""
-    # The size is resolved before the call so that it shows in verify_qmf's
-    # arguments, which the benchmark's tracer (bench/spans.py) sums.
-    report = verify_qmf(system, tol, default_grid(system.n) if grid_size is None else grid_size)
-    if not report.passed:
-        raise ValueError(
-            f"filter system is not QMF: unitary residual {report.unitary_residual:.3e} > {tol:.1e}"
-        )
+def certify(system: FilterSystem, tol: float = CERTIFY_TOL, grid_size: int | None = None) -> FilterSystem:
+    """Return the system flagged verified-QMF, or raise if its polyphase loop
+    fails certify_loop; grid_size is checked, but no grid is evaluated."""
+    _grid_size(system.n, grid_size)
+    certify_loop(polyphase_matrix(system), tol)
     return system.with_verified(True)
 
 
@@ -218,7 +218,7 @@ def complete(
     n: int,
     mode: str = "fir2",
     grid_size: int | None = None,
-    tol: float = EXACT_TOL,
+    tol: float = CERTIFY_TOL,
 ) -> FilterSystem | SampledSystem:
     """Complete a scalar filter to a full system.
 
@@ -231,16 +231,12 @@ def complete(
     scalar = verify_scalar_qmf(m0, n)
     if scalar > tol:
         raise ValueError(f"m_0 fails the scalar QMF condition: residual {scalar:.3e} > {tol:.1e}")
-    if grid_size is None:
-        grid_size = default_grid(n)
+    grid_size = _grid_size(n, grid_size)
     if mode == "fir2":
         if n != 2:
             raise ValueError("fir2 completion is defined only for scale 2")
-        system = FilterSystem(2, [m0, _fir2_completion(m0)])
-        return certify(system, tol=tol, grid_size=grid_size)
+        return certify(FilterSystem(2, [m0, _fir2_completion(m0)]), tol=tol)
     if mode == "grid":
-        if grid_size <= 0 or grid_size % n != 0:
-            raise ValueError(f"grid_size must be a positive multiple of {n}")
         return _grid_completion(m0, n, grid_size)
     raise ValueError(f"unknown completion mode {mode!r}")
 

@@ -42,7 +42,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .laurent import LaurentPoly
+from .laurent import CERTIFY_TOL, LaurentPoly
 from .loopgroup import FilterSystem
 from .qmf import low_pass_check, verify_scalar_qmf
 
@@ -239,7 +239,7 @@ def _integer_point_values(a: np.ndarray, n: int, size: int) -> np.ndarray | None
     return v / v.sum()
 
 
-def cascade(m0: LaurentPoly, n: int, level: int, tol: float = 1e-10) -> ScalingFunctionSamples:
+def cascade(m0: LaurentPoly, n: int, level: int, tol: float = CERTIFY_TOL) -> ScalingFunctionSamples:
     """Iterate the refinement operator ``level`` times from the point seed.
 
     The point seed is phi at the integers (see ``_integer_point_values``);

@@ -35,12 +35,13 @@ def test_one_round_is_correct(workload):
     _one_round(workload, 0)
 
 
-def test_traced_round_reports_every_layer():
-    # representations is the workload whose tracer wraps the Cuntz models,
-    # the commutant and the cascade, so a program change that breaks the
-    # per-layer measurement of those shows here.
+@pytest.mark.parametrize("workload", ["loop-sweep", "representations", "cli-files"])
+def test_traced_round_reports_every_layer(workload):
+    # The tracer reads arguments of the calls it wraps (it sums verify_qmf's
+    # grid_size, for one), so a program change that breaks the per-layer
+    # measurement of any workload shows here.
     spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    result = _one_round("representations", 1)
+    result = _one_round(workload, 1)
     assert set(spans.UNITS) <= set(result["metrics"])

@@ -48,6 +48,19 @@ def _fine_pair() -> tuple[MatrixLaurent, MatrixLaurent]:
     return pair[0], pair[1]
 
 
+def _near_pair(seed: int) -> tuple[MatrixLaurent, MatrixLaurent, float]:
+    """(P, U P, tol): a seeded loop P, perturbed by up to tol, which lies
+    between 1e-9 and 1e-5, and P turned by a random constant unitary U."""
+    rng = np.random.default_rng(seed)
+    n, degree = int(rng.choice([2, 3, 4])), int(rng.integers(1, 4))
+    mat = lw.random_paraunitary(n, degree, seed).mat
+    tol = 10 ** rng.uniform(-9, -5)
+    scale = tol * rng.uniform(0.05, 1)
+    e = rng.standard_normal(mat.tensor.shape) + 1j * rng.standard_normal(mat.tensor.shape)
+    p = MatrixLaurent.from_tensor(mat.lo, mat.tensor + scale * e / np.abs(e).max())
+    return p, MatrixLaurent.from_constant(lw.loopgroup.random_unitary(n, rng)) @ p, tol
+
+
 def _write_inputs(root: Path) -> None:
     """The battery's inputs, written under root; missing.json is not."""
     filters = {
@@ -198,8 +211,38 @@ class TestCallerTolerance:
         ident = lw.certify_loop(MatrixLaurent.identity(2))
         assert lw.equivalent(c, ident, tol=1e-6) == lw.irreducibility.EQUAL_MODULO_CORNER
         assert lw.detect_corner(c, 1e-6).m == 2
-        with pytest.raises(RuntimeError, match="re-verification"):
+        with pytest.raises(ValueError, match="re-verification"):
             lw.detect_corner(c)
+
+    @pytest.mark.parametrize("seed", range(48))
+    def test_near_loops_fail_in_one_line(self, seed, inputs, capsys):
+        """Loops paraunitary only within --tol get a verdict or one failure
+        line from classify and equiv, never a traceback."""
+        p, up, tol = _near_pair(seed)
+        fileio.save_loop_file(inputs / "p.json", p)
+        fileio.save_loop_file(inputs / "up.json", up)
+        for argv in (["classify", "p.json"], ["equiv", "p.json", "up.json"]):
+            code, _, err, _ = _run(argv + ["--tol", repr(tol)], capsys)
+            assert code in (0, 1)
+            assert err == "" or (err.startswith("failure: ") and err.count("\n") == 1)
+
+    @pytest.mark.parametrize("name", ["d4", "r3"])
+    def test_rank_decisions_refuse_tol_one(self, name, inputs, capsys):
+        fileio.save_loop_file(inputs / "r3.json", lw.random_paraunitary(3, 2, 5).mat)
+        code, out, err, _ = _run(["classify", f"{name}.json", "--tol", "1"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("failure: tol 1.0 >= 1 decides no rank") and err.count("\n") == 1
+
+    def test_equiv_refusal_names_the_transition_loop(self, inputs, capsys):
+        """Both inputs pass at --tol but their transition loop does not."""
+        p, up, tol = _near_pair(5)
+        assert p.is_paraunitary(tol).ok and up.is_paraunitary(tol).ok
+        fileio.save_loop_file(inputs / "p.json", p)
+        fileio.save_loop_file(inputs / "up.json", up)
+        code, out, err, _ = _run(["equiv", "p.json", "up.json", "--tol", repr(tol)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("failure: the loops are not compared: their transition loop A star(B) is not paraunitary")
+        assert err.endswith(f" > tol {tol:.3e}\n") and err.count("\n") == 1
 
     def test_finer_tolerance_than_the_default(self, inputs, capsys):
         """Below 1e-10 the transition loop is certified at 1e-10, so inputs
@@ -230,8 +273,8 @@ CERTIFICATE_COUNTS = [
     ("commutant loop4.json", 1, 0),
     # two inputs and the transition loop of two loops that differ
     ("equiv d4.json loop2.json", 3, 0),
-    # the completed system's certificate
-    ("complete m0.json --mode fir2 --out out.json", 1, 1),
+    # the completed system's certificate, with no grid evaluation
+    ("complete m0.json --mode fir2 --out out.json", 1, 0),
     ("complete m0n3.json --mode grid --out out.json", 0, 0),
 ]
 

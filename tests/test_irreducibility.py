@@ -72,7 +72,7 @@ class TestGradedKernels:
         # not paraunitary, so K_0 and K_1 overlap
         tensor = np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 1.0]]], dtype=complex)
         loop = Loop(MatrixLaurent.from_tensor(0, tensor), certified=True)
-        with pytest.raises(RuntimeError, match="K_0 and K_1 are not orthogonal"):
+        with pytest.raises(ValueError, match="K_0 and K_1 are not orthogonal"):
             graded_kernels(loop)
 
 
@@ -199,7 +199,7 @@ class TestWitnessResidual:
             assert witness is not None
             vectors = witness.vectors.copy()
             vectors[0, 0] += 1e-8
-            with pytest.raises(RuntimeError):
+            with pytest.raises(ValueError, match="re-verification"):
                 _verify_witness(loop, vectors, witness.exponents)
 
     def test_rotated_vector_raises_on_coefficients(self):
@@ -209,7 +209,7 @@ class TestWitnessResidual:
         eps = 1e-8
         vectors = np.array([[np.cos(eps), 0.0], [0.0, 1.0], [np.sin(eps), 0.0]], dtype=complex)
         assert laurent_witness_residual(loop, vectors, (2, 5)) > 1e-10
-        with pytest.raises(RuntimeError):
+        with pytest.raises(ValueError, match="re-verification"):
             _verify_witness(loop, vectors, (2, 5))
 
 

@@ -7,6 +7,7 @@ import pytest
 from loopwave import (
     FilterSystem,
     LaurentPoly,
+    MatrixLaurent,
     SampledSystem,
     base_system,
     certify,
@@ -20,6 +21,7 @@ from loopwave import (
     verify_qmf,
     verify_scalar_qmf,
 )
+from loopwave import qmf
 from loopwave.qmf import default_grid, fiber_representatives
 
 from helpers import pointwise_completion, sampled_grid_residual
@@ -88,6 +90,27 @@ class TestVerifyQmf:
         assert len(sampled.base_points) == 258
         with pytest.raises(ValueError, match="multiple of 3"):
             complete(LaurentPoly(0, (1 / 3, 1 / 3, 1 / 3)), 3, mode="grid", grid_size=256)
+
+    def test_certify_evaluates_no_grid(self, d4, monkeypatch):
+        """certify decides on one exact certificate and evaluates nothing on
+        the circle; grid_size is still checked."""
+        calls = []
+
+        def counted(self, tol):
+            calls.append(tol)
+            return original(self, tol)
+
+        def no_grid(*args):
+            raise AssertionError("certify evaluated a grid")
+
+        original = MatrixLaurent.is_paraunitary
+        monkeypatch.setattr(MatrixLaurent, "is_paraunitary", counted)
+        monkeypatch.setattr(qmf, "unit_grid", no_grid)
+        monkeypatch.setattr(qmf, "horner", no_grid)
+        assert certify(d4, 1e-9).verified
+        assert calls == [1e-9]
+        with pytest.raises(ValueError, match="multiple of 2"):
+            certify(d4, grid_size=7)
 
     def test_certify_flags_or_raises(self, haar):
         assert certify(haar).verified
