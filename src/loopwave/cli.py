@@ -3,7 +3,8 @@
 Exit codes: 0 = pass, 1 = mathematical failure: a report that does not pass,
 or any ``ValueError`` a command raises (an input that is not paraunitary,
 a filter that is not low-pass, ...); 2 = I/O or format error, a negative
-size or tolerance, or a request too large for memory.
+size or tolerance, or a request too large for memory.  ``--json`` writes
+NaN and infinities as null, so its output is strict JSON.
 The LOOPWAVE_TOL environment variable overrides the default tolerance of
 every command that takes --tol; it is read on every ``main()`` call, and
 ``main()`` may be called any number of times in one process.
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -59,7 +61,8 @@ def _default_tol() -> float:
 
 def _emit(report: dict[str, Any], as_json: bool) -> None:
     if as_json:
-        print(json.dumps(report, sort_keys=True))
+        strict = {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in report.items()}
+        print(json.dumps(strict, sort_keys=True))
     else:
         for key, value in report.items():
             print(f"{key}: {value}")
@@ -124,7 +127,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     loaded = fileio.load_filter_file(args.path)
     assert isinstance(loaded, FilterSystem)
     # Resolved here for the budget; the tracer (bench/spans.py) sums it from verify_qmf's arguments.
-    grid = qmf.default_grid(loaded.n) if args.grid is None else args.grid
+    grid = qmf._grid_size(loaded.n, args.grid)
     _check_budget("--grid", grid, grid * loaded.n, "grid values", GRID_VALUE_BUDGET)
     report = qmf.verify_qmf(loaded, tol=args.tol, grid_size=grid)
     _emit(
@@ -177,7 +180,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     report.update(_witness_report(verdict.witness))
     report["semantics_note"] = verdict.semantics_note
     if args.json:
-        print(json.dumps(report, sort_keys=True))
+        _emit(report, True)
     else:
         print(f"status: {verdict.status}")
         if verdict.witness is not None:
@@ -260,10 +263,10 @@ def cmd_complete(args: argparse.Namespace) -> int:
     assert isinstance(loaded, tuple)
     n, polys = loaded
     m0 = polys[0]
-    # Grid mode writes N^2 values a point; fir2 only checks --grid, under the same budget.
-    grid = qmf.default_grid(n) if args.grid is None else args.grid
-    _check_budget("--grid", grid, grid * n * n, "grid values", GRID_VALUE_BUDGET)
     try:
+        grid = qmf._grid_size(n, args.grid)
+        if args.mode == "grid":  # N^2 values a point; fir2 builds no grid
+            _check_budget("--grid", grid, grid * n * n, "grid values", GRID_VALUE_BUDGET)
         result = qmf.complete(m0, n, mode=args.mode, grid_size=grid, tol=args.tol)
     except ValueError as exc:
         raise ValueError(f"{args.path}: {exc}") from exc
@@ -402,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
             if not value >= 0:
                 raise FileFormatError(f"{option} must be a non-negative number, got {value!r}")
         return args.func(args)
-    except (FileFormatError, _OverBudget) as exc:
+    except (FileFormatError, _OverBudget, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except ValueError as exc:

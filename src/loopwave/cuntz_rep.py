@@ -57,21 +57,22 @@ class TruncatedRep:
     with rows[a, k] the output-band position of the index N k + t_min + a for
     input position k and a in [0, L), [t_min, t_min + L - 1] the combined
     filter support.  An entry whose index falls outside the output band is
-    0, with its row clipped to 0.  ``S``, the N dense |out| x |in| matrices
-    (read-only), is built from the windows on first read.
+    0, with its row clipped to 0.  ``windows`` is the read-only pair
+    (windows, rows), of shapes (N, L, |in|) and (L, |in|).
 
-    ``TruncatedRep(system, in_band, out_band, S)`` builds a model from
-    dense matrices instead.  Its windows are read out of S on first use,
-    which raises ValueError naming S_i if some S_i has a nonzero entry
-    outside its windows.
+    ``TruncatedRep(system, in_band, out_band, S)`` reads the windows out of
+    dense matrices S, and raises ValueError naming S_i if some S_i has a
+    nonzero entry outside its windows; its ``S`` is the matrices given.
+    build_rep's models build ``S``, the N dense |out| x |in| matrices, from
+    the windows on first read (read-only).
     """
 
     def __init__(self, system: FilterSystem, in_band: Band, out_band: Band, S: tuple[np.ndarray, ...]) -> None:
         self.system = system
         self.in_band = in_band
         self.out_band = out_band
-        self._dense = S
-        self._windows: tuple[np.ndarray, np.ndarray] | None = None
+        self.windows = _read_windows(self, S)
+        self._dense: tuple[np.ndarray, ...] | None = S
 
     @classmethod
     def _from_windows(
@@ -79,7 +80,7 @@ class TruncatedRep:
     ) -> TruncatedRep:
         rep = cls.__new__(cls)
         rep.system, rep.in_band, rep.out_band = system, in_band, out_band
-        rep._dense, rep._windows = None, (windows, rows)
+        rep.windows, rep._dense = (windows, rows), None
         return rep
 
     def __repr__(self) -> str:
@@ -91,22 +92,14 @@ class TruncatedRep:
 
     @property
     def S(self) -> tuple[np.ndarray, ...]:
-        """The dense matrices S_i, read-only, built from the windows on first read."""
+        """The dense matrices S_i, built from the windows on first read."""
         if self._dense is None:
-            windows, rows = self._windows
+            windows, rows = self.windows
             s = np.zeros((self.n, self.out_band.size, self.in_band.size), dtype=complex)
             s[:, rows, np.arange(self.in_band.size)] = windows
             s.setflags(write=False)
             self._dense = tuple(s)
         return self._dense
-
-    @property
-    def windows(self) -> tuple[np.ndarray, np.ndarray]:
-        """(windows, rows): the (N, L, |in|) column windows and their (L, |in|)
-        output-band positions."""
-        if self._windows is None:
-            self._windows = _read_windows(self)
-        return self._windows
 
 
 def _filter_stack(system: FilterSystem) -> tuple[int, np.ndarray]:
@@ -151,8 +144,8 @@ def build_rep(system: FilterSystem, in_band: Band) -> TruncatedRep:
     return TruncatedRep._from_windows(system, in_band, out_band, windows, rows)
 
 
-def _read_windows(rep: TruncatedRep) -> tuple[np.ndarray, np.ndarray]:
-    """The column windows of a model built from dense matrices.
+def _read_windows(rep: TruncatedRep, S: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The column windows of the dense matrices S of rep's bands.
 
     Raises ValueError when some S_i has a nonzero outside its windows.
     """
@@ -162,7 +155,7 @@ def _read_windows(rep: TruncatedRep) -> tuple[np.ndarray, np.ndarray]:
     rows = np.where(inside, rows, 0)
     cols = np.arange(rep.in_band.size)
     windows = np.zeros((rep.n,) + rows.shape, dtype=complex)
-    for i, s in enumerate(rep.S):
+    for i, s in enumerate(S):
         s = np.ascontiguousarray(s, dtype=complex)
         windows[i] = np.where(inside, s[rows, cols], 0.0)
         # Counted over real and imaginary parts, which is cheaper and as exact.
@@ -255,6 +248,18 @@ def _lag_products(wa: np.ndarray, wb: np.ndarray, d: int) -> np.ndarray:
     return np.einsum("iak,jak->ijk", a.conj(), b)
 
 
+def _lag_residual(wa: np.ndarray, wb: np.ndarray, expected, hermitian: bool) -> float:
+    """max |_lag_products(wa, wb, d) - expected(d)| over every lag d at which
+    two columns' windows overlap; over d >= 0 only for a Hermitian product,
+    whose lag -d holds the moduli of lag d."""
+    n, length, cols = wa.shape
+    last = min((length - 1) // n, cols - 1)
+    worst = 0.0
+    for d in range(0 if hermitian else -last, last + 1):
+        worst = max(worst, float(np.max(np.abs(_lag_products(wa, wb, d) - expected(d)))))
+    return worst
+
+
 def verify_cuntz(rep: TruncatedRep) -> CuntzReport:
     """Residuals of the defining isometry and completeness relations.
 
@@ -267,13 +272,8 @@ def verify_cuntz(rep: TruncatedRep) -> CuntzReport:
     """
     n = rep.n
     w, rows = rep.windows
-    length, cols = w.shape[1], w.shape[2]
-    iso = 0.0
-    for d in range(min((length - 1) // n, cols - 1) + 1):
-        gram = _lag_products(w, w, d)
-        if d == 0:
-            gram -= np.eye(n)[:, :, None]
-        iso = max(iso, float(np.max(np.abs(gram))))
+    length = w.shape[1]
+    iso = _lag_residual(w, w, lambda d: np.eye(n)[:, :, None] if d == 0 else 0.0, hermitian=True)
 
     inner = interior_band(rep)
     if inner is None:
@@ -333,8 +333,6 @@ def transition_operator_matrix(rep_a: TruncatedRep, rep_b: TruncatedRep, tol: fl
         raise ValueError("representations have different scales")
     if rep_a.in_band != rep_b.in_band:
         raise ValueError("representations must share the input band")
-    n = rep_a.n
-    size = rep_a.in_band.size
     (a_min, a_max), (b_min, b_max) = _filter_support(rep_a.system), _filter_support(rep_b.system)
     support = (min(a_min, b_min), max(a_max, b_max))
     wa, wb = _padded_windows(rep_a, support), _padded_windows(rep_b, support)
@@ -343,11 +341,7 @@ def transition_operator_matrix(rep_a: TruncatedRep, rep_b: TruncatedRep, tol: fl
 
     # The symbols have no exponent beyond the last lag either: conj(n_i) m_j
     # has exponents of modulus at most L - 1.
-    lags = min((wa.shape[1] - 1) // n, size - 1)
-    worst = 0.0
-    for d in range(-lags, lags + 1):
-        prod = _lag_products(wa, wb, d)
-        worst = max(worst, float(np.max(np.abs(prod - symbols.laurent_coefficient(-d)[:, :, None]))))
+    worst = _lag_residual(wa, wb, lambda d: symbols.laurent_coefficient(-d)[:, :, None], hermitian=False)
     if worst > tol:
         raise RuntimeError(
             f"truncated operator products disagree with multiplication symbols: {worst:.3e} > {tol:.1e}"

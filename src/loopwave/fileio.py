@@ -17,7 +17,7 @@ offsets round-trip losslessly.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from pathlib import Path
 from typing import Any
 
@@ -34,11 +34,12 @@ def _poly_to_json(p: LaurentPoly) -> dict[str, Any]:
 
 
 def _poly_from_json(obj: Any, where: str) -> LaurentPoly:
-    if not isinstance(obj, dict) or "offset" not in obj or "coeffs" not in obj:
-        raise FileFormatError(f"{where}: expected an object with 'offset' and 'coeffs'")
+    if not isinstance(obj, dict) or "offset" not in obj or not isinstance(obj.get("coeffs"), list):
+        raise FileFormatError(f"{where}: expected an object with 'offset' and a 'coeffs' list")
     offset = obj["offset"]
-    if not isinstance(offset, int):
-        raise FileFormatError(f"{where}: offset must be an integer")
+    # |offset| < 2^31 keeps offset N^level inside int64 for the 2^26 samples a cascade may take.
+    if not isinstance(offset, int) or abs(offset) >= 1 << 31:
+        raise FileFormatError(f"{where}: offset must be an integer of modulus below 2^31")
     coeffs = []
     for idx, pair in enumerate(obj["coeffs"]):
         if (
@@ -47,10 +48,9 @@ def _poly_from_json(obj: Any, where: str) -> LaurentPoly:
             or not all(isinstance(v, (int, float)) for v in pair)
         ):
             raise FileFormatError(f"{where}: coefficient {idx} must be a [re, im] pair")
-        re, im = float(pair[0]), float(pair[1])
-        if not (math.isfinite(re) and math.isfinite(im)):
+        if not all(abs(v) <= sys.float_info.max for v in pair):  # NaN, infinite, or an integer too large
             raise FileFormatError(f"{where}: coefficient {idx} is not finite")
-        coeffs.append(complex(re, im))
+        coeffs.append(complex(float(pair[0]), float(pair[1])))
     return LaurentPoly(offset, coeffs)
 
 

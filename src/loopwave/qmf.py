@@ -228,13 +228,13 @@ def complete(
     (skipping the basis vector of largest overlap with the given row).
     grid_size defaults to default_grid(N).
     """
+    if mode == "fir2" and n != 2:  # refused before the scalar test pads m_0 to blocks of N
+        raise ValueError("fir2 completion is defined only for scale 2")
     scalar = verify_scalar_qmf(m0, n)
     if scalar > tol:
         raise ValueError(f"m_0 fails the scalar QMF condition: residual {scalar:.3e} > {tol:.1e}")
     grid_size = _grid_size(n, grid_size)
     if mode == "fir2":
-        if n != 2:
-            raise ValueError("fir2 completion is defined only for scale 2")
         return certify(FilterSystem(2, [m0, _fir2_completion(m0)]), tol=tol)
     if mode == "grid":
         return _grid_completion(m0, n, grid_size)

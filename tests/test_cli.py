@@ -562,15 +562,19 @@ class TestSizeGuards:
     allocated, when the arrays they size would exceed their budgets."""
 
     @staticmethod
-    def _refused(argv, option, value, out=None, capsys=None):
+    def _traced(argv):
+        """(exit code, tracemalloc peak in bytes) of main(argv)."""
         import tracemalloc
 
         tracemalloc.start()
         try:
-            code = main(argv)
-            peak = tracemalloc.get_traced_memory()[1]
+            return main(argv), tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    @staticmethod
+    def _refused(argv, option, value, out=None, capsys=None):
+        code, peak = TestSizeGuards._traced(argv)
         assert code == 2
         assert peak < 1 << 20
         assert out is None or not out.exists()
@@ -592,6 +596,8 @@ class TestSizeGuards:
     @pytest.mark.parametrize("mode", ["grid", "fir2"])
     @pytest.mark.parametrize("make", GUARDED_SYSTEMS, ids=GUARDED_IDS)
     def test_complete_grid(self, make, mode, tmp_path, capsys):
+        """Grid mode is refused over its budget; fir2 builds no grid, so the
+        same --grid completes at N = 2 and fails at N = 3, in little memory."""
         from loopwave.cli import GRID_VALUE_BUDGET
 
         system = make()
@@ -603,7 +609,15 @@ class TestSizeGuards:
         grid = _first_over(lambda g: g * n * n, GRID_VALUE_BUDGET, step=n)
         out = tmp_path / "sampled.json"
         argv = ["complete", str(path), "--mode", mode, "--grid", str(grid), "--out", str(out)]
-        self._refused(argv, "--grid", grid, out, capsys)
+        if mode == "grid":
+            self._refused(argv, "--grid", grid, out, capsys)
+            return
+        code, peak = self._traced(argv)
+        assert peak < 1 << 20
+        assert code == (0 if n == 2 else 1)
+        assert out.exists() == (n == 2)
+        err = capsys.readouterr().err
+        assert err == ("" if n == 2 else f"failure: {path}: fir2 completion is defined only for scale 2\n")
 
     @pytest.mark.parametrize("make", GUARDED_SYSTEMS, ids=GUARDED_IDS)
     def test_cuntz_check_band(self, make, tmp_path, capsys):

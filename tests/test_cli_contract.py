@@ -88,6 +88,19 @@ def _write_inputs(root: Path) -> None:
     for name, mat in loops.items():
         fileio.save_loop_file(root / f"{name}.json", mat)
     (root / "broken.json").write_text("{not json")
+    # Inputs of the exit-code table only, none of them a battery input.
+    haar = json.loads((root / "haar.json").read_text())
+    ident = json.loads((root / "ident.json").read_text())
+    malformed = {
+        "coeffs5": {**haar, "filters": [{"offset": 0, "coeffs": 5}] * 2},
+        "coeffsnull": {**haar, "filters": [{"offset": 0, "coeffs": None}] * 2},
+        "bigint": {**haar, "filters": [{"offset": 0, "coeffs": [[10**400, 0]]}] * 2},
+        "bigoffset": {**haar, "filters": [{**f, "offset": 10**20} for f in haar["filters"]]},
+        "bigoffsetloop": {**ident, "entries": [[{**e, "offset": 10**20} for e in row] for row in ident["entries"]]},
+        "m0huge": {"version": 1, "n": 10**9, "filters": [{"offset": 0, "coeffs": [[0.5, 0], [0.5, 0]]}]},
+    }
+    for name, doc in malformed.items():
+        (root / f"{name}.json").write_text(json.dumps(doc))
 
 
 INPUTS = [
@@ -169,6 +182,22 @@ class TestBattery:
             digest.update(b"-" if written is None else hashlib.sha256(written).digest())
         assert digest.hexdigest() == BATTERY_SHA256
         assert changed == CHANGED
+
+    def test_json_output_is_strict(self, inputs, capsys):
+        """Every --json stdout parses as RFC 8259 JSON: a NaN or infinite
+        value prints as null, as cuntz-check's completeness residual does
+        on a band with no interior."""
+
+        def refuse(constant):
+            raise AssertionError(f"{constant} is not JSON")
+
+        for argv in [argv for argv in BATTERY if "--json" in argv]:
+            out = _run(argv, capsys)[1]
+            if out:
+                json.loads(out, parse_constant=refuse)
+        report = json.loads(_run("cuntz-check d4.json --band 0 --json".split(), capsys)[1], parse_constant=refuse)
+        assert report["interior"] is None and report["completeness_residual"] is None
+        assert "\ncompleteness_residual: nan\n" in _run("cuntz-check d4.json --band 0".split(), capsys)[1]  # text: unchanged
 
 
 class TestCallerTolerance:
@@ -321,6 +350,9 @@ CONTRACT = {
         # the report goes to stdout
         ("not paraunitary", "verify scaled.json", 1, None),
         ("over budget", f"verify haar.json --grid {2 * 10**18}", 2, "error: "),
+        # checked by the library's grid rule before any budget
+        ("over budget, not a multiple of N", f"verify d4.json --grid {2 * 10**18 + 1}", 1, "failure: "),
+        ("offset too large", "verify bigoffset.json", 2, "error: "),
         ("negative size", "verify haar.json --grid -2", 1, "failure: "),
         ("NaN tol", "verify haar.json --tol nan", 2, "error: "),
     ],
@@ -330,6 +362,9 @@ CONTRACT = {
         ("wrong kind", "convert loop2.json --to loop --out out.json", 2, "error: "),
         ("not paraunitary", "convert scaled.json --to loop --out out.json", 1, "failure: "),
         ("NaN tol", "convert haar.json --to loop --out out.json --tol nan", 2, "error: "),
+        ("offset too large", "convert bigoffset.json --to loop --out out.json", 2, "error: "),
+        ("--out in a missing directory", "convert haar.json --to loop --out nodir/out.json", 2, "error: "),
+        ("--out a directory", "convert haar.json --to loop --out .", 2, "error: "),
     ],
     "convert --to filters": [
         ("missing file", "convert missing.json --to filters --out out.json", 2, "error: "),
@@ -337,6 +372,9 @@ CONTRACT = {
         ("wrong kind", "convert haar.json --to filters --out out.json", 2, "error: "),
         ("not paraunitary", "convert badloop.json --to filters --out out.json", 1, "failure: "),
         ("NaN tol", "convert loop2.json --to filters --out out.json --tol nan", 2, "error: "),
+        ("offset too large", "convert bigoffsetloop.json --to filters --out out.json", 2, "error: "),
+        ("--out in a missing directory", "convert loop2.json --to filters --out nodir/out.json", 2, "error: "),
+        ("--out a directory", "convert loop2.json --to filters --out .", 2, "error: "),
     ],
     "classify": [
         ("missing file", "classify missing.json", 2, "error: "),
@@ -344,6 +382,10 @@ CONTRACT = {
         ("not paraunitary", "classify badloop.json", 1, "failure: "),
         ("not QMF", "classify scaled.json", 1, "failure: "),
         ("NaN tol", "classify haar.json --tol nan", 2, "error: "),
+        ("coeffs not a list", "classify coeffs5.json", 2, "error: "),
+        ("coeffs null", "classify coeffsnull.json", 2, "error: "),
+        ("integer too large for a float", "classify bigint.json", 2, "error: "),
+        ("offset too large", "classify bigoffset.json", 2, "error: "),
     ],
     "cascade": [
         ("missing file", "cascade missing.json --iters 2 --out out.csv", 2, "error: "),
@@ -354,6 +396,9 @@ CONTRACT = {
         ("over budget", f"cascade d4.json --iters {10**9} --out out.csv", 2, "error: "),
         ("negative size", "cascade d4.json --iters -1 --out out.csv", 2, "error: "),
         ("NaN tol", "cascade d4.json --iters 2 --out out.csv --tol nan", 2, "error: "),
+        ("offset too large", "cascade bigoffset.json --iters 2 --out out.csv", 2, "error: "),
+        ("--out in a missing directory", "cascade d4.json --iters 2 --out nodir/out.csv", 2, "error: "),
+        ("--out a directory", "cascade d4.json --iters 2 --out .", 2, "error: "),
     ],
     "cuntz-check": [
         ("missing file", "cuntz-check missing.json --band 2", 2, "error: "),
@@ -362,19 +407,28 @@ CONTRACT = {
         ("over budget", f"cuntz-check d4.json --band {10**18}", 2, "error: "),
         ("negative size", "cuntz-check d4.json --band -1", 2, "error: "),
         ("NaN tol", "cuntz-check d4.json --band 2 --tol nan", 2, "error: "),
+        ("offset too large", "cuntz-check bigoffset.json --band 2", 2, "error: "),
     ],
     "equiv": [
         ("missing file", "equiv missing.json loop2.json", 2, "error: "),
         ("broken JSON", "equiv loop2.json broken.json", 2, "error: "),
         ("not paraunitary", "equiv loop2.json badloop.json", 1, "failure: "),
         ("NaN tol", "equiv loop2.json loop2.json --tol nan", 2, "error: "),
+        ("offset too large", "equiv loop2.json bigoffsetloop.json", 2, "error: "),
     ],
     "complete": [
         ("missing file", "complete missing.json --out out.json", 2, "error: "),
         ("broken JSON", "complete broken.json --out out.json", 2, "error: "),
         ("wrong kind", "complete loop2.json --out out.json", 2, "error: "),
         ("not QMF", "complete scaled.json --out out.json", 1, "failure: "),
-        ("over budget", f"complete m0.json --grid {2 * 10**18} --out out.json", 2, "error: "),
+        ("over budget", f"complete m0.json --mode grid --grid {2 * 10**18} --out out.json", 2, "error: "),
+        # fir2 builds no grid, so --grid is only checked to be a multiple of N
+        ("fir2 at a huge grid", f"complete m0.json --grid {2 * 10**18} --out out.json", 0, None),
+        # refused before m_0 is padded to blocks of N
+        ("fir2 at n = 10^9", "complete m0huge.json --out out.json", 1, "failure: "),
+        ("offset too large", "complete bigoffset.json --out out.json", 2, "error: "),
+        ("--out in a missing directory", "complete m0.json --out nodir/out.json", 2, "error: "),
+        ("--out a directory", "complete m0.json --out .", 2, "error: "),
         ("negative size", "complete m0.json --grid -2 --out out.json", 1, "failure: "),
         ("NaN tol", "complete m0.json --out out.json --tol nan", 2, "error: "),
     ],
@@ -385,6 +439,7 @@ CONTRACT = {
         ("over budget", "commutant {wide}", 2, "error: "),
         ("negative size", "commutant d4.json --band -5", 2, "error: "),
         ("NaN tol", "commutant d4.json --tol nan", 2, "error: "),
+        ("offset too large", "commutant bigoffset.json", 2, "error: "),
     ],
 }
 
@@ -403,7 +458,7 @@ class TestExitCodeContract:
         wide = _over_budget_commutant(inputs) if "{wide}" in argv else None
         got, _, err, written = _run(argv.format(wide=wide).split(), capsys)
         assert got == code
-        assert written is None
+        assert (written is None) == (code != 0)
         if prefix is None:
             assert err == ""
         else:

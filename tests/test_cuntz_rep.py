@@ -344,6 +344,11 @@ ORACLE_SYSTEMS = {
 ORACLE_BANDS = [Band(-9, 9), Band(-2, 5), Band(0, 0), Band(3, 4)]
 
 
+def _dense_built(rep):
+    """rep built again from its dense matrices."""
+    return TruncatedRep(system=rep.system, in_band=rep.in_band, out_band=rep.out_band, S=rep.S)
+
+
 def _with_matrix(rep, i, s):
     """A hand-built copy of rep whose S_i is s."""
     mats = list(rep.S)
@@ -417,15 +422,13 @@ class TestAgainstDenseOracles:
         assert 1e-8 <= dense_symbol_residual(bumped, bumped, symbols) <= 1e-6
 
     def test_off_window_entry_rejected(self):
+        """The windows are read when the model is built, so an entry outside
+        them is refused there, before any check can run."""
         rep = build_rep(ORACLE_SYSTEMS["d4"], Band(-6, 6))
         s = rep.S[1].copy()
         s[0, rep.in_band.size - 1] = 1e-3  # index N k_min + t_min, outside column k_max's window
-        bad = _with_matrix(rep, 1, s)
-        f = np.zeros(rep.out_band.size, dtype=complex)
-        f[rep.out_band.size // 2] = 1.0
-        for call in (lambda: verify_cuntz(bad), lambda: reconstruct(bad, f), lambda: transition_operator_matrix(rep, bad)):
-            with pytest.raises(ValueError, match="S_1"):
-                call()
+        with pytest.raises(ValueError, match="S_1 has nonzero entries outside"):
+            _with_matrix(rep, 1, s)
 
     @pytest.mark.parametrize("name", ["d4", "N3 deg2", "N8 deg2", "d4 z^-3"])
     def test_reconstruct(self, name):
@@ -452,9 +455,11 @@ class TestAgainstDenseOracles:
 
 
 class TestWindowStorage:
-    """build_rep keeps the column windows; the dense matrices are built only
-    when rep.S is read, and no check or commutant reads them.  adjoint_apply is the dense
-    product with rep.S, as it always was."""
+    """Every model holds its column windows: build_rep's from the start, and
+    a dense-built model's read out of the matrices it is given.  build_rep's
+    dense matrices are built only when rep.S is read, and no check or
+    commutant reads them.  adjoint_apply is the dense product with rep.S,
+    as it always was."""
 
     @pytest.mark.parametrize("name", ORACLE_SYSTEMS)
     def test_dense_view_on_first_read(self, name):
@@ -477,23 +482,27 @@ class TestWindowStorage:
         f = np.zeros(rep.out_band.size, dtype=complex)
         inner = interior_band(rep)
         f[inner.k_min - rep.out_band.k_min] = 1.0
+        # the same pair built from dense matrices, read here before rep.S is barred
+        models = [(rep, other), (_dense_built(rep), _dense_built(other))]
 
         def no_dense(self):
             raise AssertionError("dense matrices read")
 
         monkeypatch.setattr(TruncatedRep, "S", property(no_dense))
-        verify_cuntz(rep)
-        reconstruct(rep, f)
-        transition_operator_matrix(rep, other)
-        transition_operator_matrix(other, rep)
-        commutant_diagnostic(rep)
+        for rep, other in models:
+            verify_cuntz(rep)
+            reconstruct(rep, f)
+            transition_operator_matrix(rep, other)
+            transition_operator_matrix(other, rep)
+            commutant_diagnostic(rep)
 
     @pytest.mark.parametrize("name", ORACLE_SYSTEMS)
     def test_windows_read_from_dense_matrices(self, name):
         rep = build_rep(ORACLE_SYSTEMS[name], Band(-4, 3))
-        dense = TruncatedRep(system=rep.system, in_band=rep.in_band, out_band=rep.out_band, S=rep.S)
+        dense = _dense_built(rep)
         for mine, read in zip(rep.windows, dense.windows):
             assert np.array_equal(mine, read)
+        assert dense.S is rep.S  # the matrices given, as given
 
     @pytest.mark.parametrize("name", ORACLE_SYSTEMS)
     def test_adjoint_apply_is_the_dense_product(self, name):

@@ -55,6 +55,11 @@ def test_detect_kind(tmp_path):
         {"version": 1, "n": 2, "filters": [{"offset": 0.5, "coeffs": []}] * 2},
         {"version": 1, "n": 2, "filters": [{"offset": 0, "coeffs": [[1]]}] * 2},
         {"version": 1, "n": 2, "filters": [{"offset": 0, "coeffs": [["a", 0]]}] * 2},
+        {"version": 1, "n": 2, "filters": [{"offset": 0, "coeffs": 5}] * 2},
+        {"version": 1, "n": 2, "filters": [{"offset": 0, "coeffs": None}] * 2},
+        {"version": 1, "n": 2, "filters": [{"offset": 0, "coeffs": [[10**400, 0]]}] * 2},  # too large for a float
+        {"version": 1, "n": 2, "filters": [{"offset": 2**31, "coeffs": [[1, 0]]}] * 2},
+        {"version": 1, "n": 2, "filters": [{"offset": -(2**31), "coeffs": [[1, 0]]}] * 2},
     ],
 )
 def test_malformed_filter_documents_rejected(tmp_path, doc):
@@ -71,6 +76,13 @@ def test_non_finite_coefficient_rejected(tmp_path):
     )
     with pytest.raises(FileFormatError):
         load_filter_file(path)
+
+
+def test_offsets_below_two_to_the_31_load(tmp_path):
+    path = tmp_path / "f.json"
+    offsets = [2**31 - 1, -(2**31 - 1)]
+    path.write_text(json.dumps({"version": 1, "n": 2, "filters": [{"offset": t, "coeffs": [[1, 0]]} for t in offsets]}))
+    assert [f.offset for f in load_filter_file(path).filters] == offsets
 
 
 def test_partial_load_for_completion_input(tmp_path):
