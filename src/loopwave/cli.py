@@ -97,30 +97,12 @@ def _check_budget(option: str, value: int, need: float, unit: str, budget: int) 
 
 
 def _cells(values: np.ndarray) -> list[str]:
-    """CSV cells of a sample column: the real part when the imaginary part is
-    at most 1e-12, else the complex value.
-
-    A complex cell is built from its real part's repr as CPython's
-    ``complex_repr`` builds ``repr(complex)``, so each float is formatted
-    once: ``{im}j`` when the real part is +0.0, else ``({re}{+-im}j)``,
-    each part without a trailing ".0" and the imaginary part signed.
-    """
-    cells = list(map(repr, np.real(values).tolist()))
+    """CSV cells of a sample column: repr of the real part when the imaginary
+    part is at most 1e-12, else repr of the complex value."""
     is_real = np.abs(np.imag(values)) <= 1e-12
     if is_real.all():
-        return cells
-    where = np.flatnonzero(~is_real)
-    for k, im in zip(where.tolist(), map(repr, np.imag(values)[where].tolist())):
-        re = cells[k]
-        if im.endswith(".0"):
-            im = im[:-2]
-        if re == "0.0":
-            cells[k] = im + "j"
-        else:
-            if re.endswith(".0"):
-                re = re[:-2]
-            cells[k] = "(" + re + ("" if im[0] == "-" else "+") + im + "j)"
-    return cells
+        return list(map(repr, np.real(values).tolist()))
+    return [repr(v.real) if r else repr(v) for v, r in zip(values.tolist(), is_real.tolist())]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -38,14 +38,15 @@ def _poly_from_json(obj: Any, where: str) -> LaurentPoly:
         raise FileFormatError(f"{where}: expected an object with 'offset' and a 'coeffs' list")
     offset = obj["offset"]
     # |offset| < 2^31 keeps offset N^level inside int64 for the 2^26 samples a cascade may take.
-    if not isinstance(offset, int) or abs(offset) >= 1 << 31:
+    # Numbers are checked by exact type: JSON true and false load as bool, a subclass of int.
+    if type(offset) is not int or abs(offset) >= 1 << 31:
         raise FileFormatError(f"{where}: offset must be an integer of modulus below 2^31")
     coeffs = []
     for idx, pair in enumerate(obj["coeffs"]):
         if (
             not isinstance(pair, (list, tuple))
             or len(pair) != 2
-            or not all(isinstance(v, (int, float)) for v in pair)
+            or not all(type(v) in (int, float) for v in pair)
         ):
             raise FileFormatError(f"{where}: coefficient {idx} must be a [re, im] pair")
         if not all(abs(v) <= sys.float_info.max for v in pair):  # NaN, infinite, or an integer too large
@@ -68,7 +69,7 @@ def _load_json(path: str | Path) -> Any:
 def _check_header(doc: Any, path: str | Path) -> int:
     if not isinstance(doc, dict):
         raise FileFormatError(f"{path}: top level must be an object")
-    if doc.get("version") != 1:
+    if doc.get("version") != 1 or doc.get("version") is True:
         raise FileFormatError(f"{path}: unsupported version {doc.get('version')!r}")
     n = doc.get("n")
     if not isinstance(n, int) or n < 2:

@@ -36,12 +36,8 @@ def _as_complex_tuple(coeffs: Iterable[complex] | np.ndarray) -> tuple[complex, 
         out = tuple(coeffs.astype(complex, copy=False).tolist())
     else:
         out = tuple(complex(c) for c in coeffs)
-    # A non-finite coefficient makes the sum non-finite; finite ones may
-    # overflow it, so only then is each one checked.
-    if not cmath.isfinite(sum(out)):
-        for c in out:
-            if not cmath.isfinite(c):
-                raise ValueError(f"non-finite coefficient {c!r}")
+    if not all(map(cmath.isfinite, out)):
+        raise ValueError(f"non-finite coefficient {next(c for c in out if not cmath.isfinite(c))!r}")
     return out
 
 

@@ -165,9 +165,10 @@ def _fir2_completion(m0: LaurentPoly) -> LaurentPoly:
     # Alternating conjugate flip about an odd pivot exponent: with
     # b_k = (-1)^k conj(a_{E-k}) and E odd, the fiber of z^2 is {w, -w} and
     # the cross terms cancel in pairs, so (m_0, m_1) is QMF whenever m_0
-    # passes the scalar test.  E is the top degree, padded by one when even;
-    # b is then z^E star(m_0) with alternating signs, from exponent E - deg.
-    lo = 1 - m0.degree % 2
+    # passes the scalar test.  E is the smallest odd exponent >= val + deg,
+    # so b, z^E star(m_0) with alternating signs, starts at m_0's valuation
+    # or one above it, at exponent E - deg.
+    lo = m0.valuation + 1 - (m0.valuation + m0.degree) % 2
     m1 = LaurentPoly(lo, [(-1.0) ** (k % 2) * c for k, c in enumerate(m0.star().coeffs, lo)])
 
     # Phase convention: first nonzero entry of the new row's polyphase

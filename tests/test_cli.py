@@ -619,6 +619,18 @@ class TestSizeGuards:
         err = capsys.readouterr().err
         assert err == ("" if n == 2 else f"failure: {path}: fir2 completion is defined only for scale 2\n")
 
+    @pytest.mark.parametrize("offset", [2**31 - 1, -(2**31 - 1)])
+    def test_complete_fir2_far_offset(self, offset, tmp_path):
+        """fir2 places m_1 beside m_0, so a Haar m_0 at any offset completes
+        to a polyphase loop of at most 2 lags, in little memory."""
+        path = tmp_path / "m0.json"
+        m0 = {"offset": offset, "coeffs": [[0.5, 0], [0.5, 0]]}
+        path.write_text(json.dumps({"version": 1, "n": 2, "filters": [m0]}))
+        out = tmp_path / "system.json"
+        code, peak = self._traced(["complete", str(path), "--out", str(out)])
+        assert code == 0 and peak < 1 << 20
+        assert len(loopwave.filters_to_loop(fileio.load_filter_file(out)).mat.tensor) <= 2
+
     @pytest.mark.parametrize("make", GUARDED_SYSTEMS, ids=GUARDED_IDS)
     def test_cuntz_check_band(self, make, tmp_path, capsys):
         from loopwave.cli import BAND_ENTRY_BUDGET

@@ -98,6 +98,10 @@ def _write_inputs(root: Path) -> None:
         "bigoffset": {**haar, "filters": [{**f, "offset": 10**20} for f in haar["filters"]]},
         "bigoffsetloop": {**ident, "entries": [[{**e, "offset": 10**20} for e in row] for row in ident["entries"]]},
         "m0huge": {"version": 1, "n": 10**9, "filters": [{"offset": 0, "coeffs": [[0.5, 0], [0.5, 0]]}]},
+        "m0far": {"version": 1, "n": 2, "filters": [{"offset": 2**31 - 1, "coeffs": [[0.5, 0], [0.5, 0]]}]},
+        "booloffset": {**haar, "filters": [{**f, "offset": True} for f in haar["filters"]]},
+        "boolcoeff": {**haar, "filters": [{**f, "coeffs": [[True, False]] + f["coeffs"][1:]} for f in haar["filters"]]},
+        "boolversion": {**haar, "version": True},
     }
     for name, doc in malformed.items():
         (root / f"{name}.json").write_text(json.dumps(doc))
@@ -353,6 +357,10 @@ CONTRACT = {
         # checked by the library's grid rule before any budget
         ("over budget, not a multiple of N", f"verify d4.json --grid {2 * 10**18 + 1}", 1, "failure: "),
         ("offset too large", "verify bigoffset.json", 2, "error: "),
+        # JSON true and false are not numbers, though bool subclasses int
+        ("boolean offset", "verify booloffset.json", 2, "error: "),
+        ("boolean coefficient", "verify boolcoeff.json", 2, "error: "),
+        ("boolean version", "verify boolversion.json --json", 2, "error: "),
         ("negative size", "verify haar.json --grid -2", 1, "failure: "),
         ("NaN tol", "verify haar.json --tol nan", 2, "error: "),
     ],
@@ -426,6 +434,8 @@ CONTRACT = {
         ("fir2 at a huge grid", f"complete m0.json --grid {2 * 10**18} --out out.json", 0, None),
         # refused before m_0 is padded to blocks of N
         ("fir2 at n = 10^9", "complete m0huge.json --out out.json", 1, "failure: "),
+        # m_1 is placed beside m_0, so the polyphase loop spans at most 2 lags
+        ("fir2 at offset 2^31 - 1", "complete m0far.json --out out.json", 0, None),
         ("offset too large", "complete bigoffset.json --out out.json", 2, "error: "),
         ("--out in a missing directory", "complete m0.json --out nodir/out.json", 2, "error: "),
         ("--out a directory", "complete m0.json --out .", 2, "error: "),

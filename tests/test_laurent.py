@@ -203,6 +203,15 @@ class TestCanonicalization:
         with pytest.raises(ValueError):
             LaurentPoly(0, (complex(1, float("inf")),))
 
+    def test_finite_coefficients_whose_sum_overflows(self):
+        assert LaurentPoly(0, (1e308, 1e308)).coeffs == (1e308, 1e308)
+        assert LaurentPoly(0, np.array([-1e308, -1e308, 1.0])).coeffs == (-1e308, -1e308, 1.0)
+
+    def test_names_the_first_non_finite_coefficient(self):
+        for coeffs in ((1, math.nan, math.inf), np.array([1.0, np.nan, np.inf])):
+            with pytest.raises(ValueError, match=r"^non-finite coefficient \(nan\+0j\)$"):
+                LaurentPoly(0, coeffs)
+
     def test_array_input_matches_sequence_input(self):
         rng = np.random.default_rng(21)
         for c in [

@@ -183,15 +183,17 @@ class TestFir2Completion:
         # of m_0 from seeded loops of degree 0-23 times z^-3 .. z^2.  It pins
         # the rounding of the phase convention; the inputs come from the QR
         # in random_paraunitary, so another LAPACK build may need a new pin.
+        # m_1 starts at m_0's valuation or one above it.
         digest = hashlib.sha256()
         for degree in range(24):
             for seed in range(6):
                 m0 = loop_to_filters(random_paraunitary(2, degree, seed)).filters[0]
                 system = complete(m0 * LaurentPoly.monomial(seed - 3), 2)
+                assert 0 <= system.filters[1].offset - system.filters[0].offset <= 1
                 for f in system.filters:
                     digest.update(np.int64(f.offset).tobytes())
                     digest.update(np.array(f.coeffs, dtype=complex).tobytes())
-        assert digest.hexdigest() == "8603744b94c2e0d2c99a954c1ba381aaaf5252b388eb40680b4a074f6158130b"
+        assert digest.hexdigest() == "083e15092e79d6188f9fb36dabb9cd07622655c5e2509731e84b5233157cf350"
 
     def test_scalar_violation_rejected(self):
         with pytest.raises(ValueError):

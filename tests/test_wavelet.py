@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import inspect
 import math
 import tracemalloc
 
@@ -692,10 +694,20 @@ PUBLIC_NAMES = [
     "__version__",
 ]
 
+#: SHA-256 of "name(signature)" for every callable in PUBLIC_NAMES, one per
+#: line: a dropped, renamed or re-defaulted parameter changes it.
+SIGNATURES_SHA256 = "f506e9b475bdbe1acbc07bb8f08cbbb3730b8b40900fe4690f609302ae34ae44"
+
 
 class TestPublicSurface:
     def test_package_names(self):
         assert loopwave.__all__ == PUBLIC_NAMES
+
+    def test_signatures(self):
+        objs = [(name, getattr(loopwave, name)) for name in PUBLIC_NAMES]
+        lines = [f"{name}{inspect.signature(obj)}" for name, obj in objs if callable(obj)]
+        assert len(lines) == len(PUBLIC_NAMES) - 1  # all but __version__
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SIGNATURES_SHA256, "\n".join(lines)
 
     def test_sample_attributes(self, d4):
         phi = cascade(d4.filters[0], 2, 3)
