@@ -2,9 +2,9 @@
 
 Exit codes: 0 = pass, 1 = mathematical failure: a report that does not pass,
 or any ``ValueError`` a command raises (an input that is not paraunitary,
-a filter that is not low-pass, ...); 2 = I/O or format error, a negative
-size or tolerance, or a request too large for memory.  ``--json`` writes
-NaN and infinities as null, so its output is strict JSON.
+a filter that is not low-pass, ...); 2 = I/O or format error, an output its
+loader refuses, a negative size or tolerance, or a request over its budget
+or memory.  ``--json`` writes NaN and infinities as null: strict JSON.
 The LOOPWAVE_TOL environment variable overrides the default tolerance of
 every command that takes --tol; it is read on every ``main()`` call, and
 ``main()`` may be called any number of times in one process.
@@ -26,7 +26,7 @@ import numpy as np
 from . import cuntz_rep, fileio, irreducibility, qmf, wavelet
 from .fileio import FileFormatError
 from .laurent import CERTIFY_TOL, MatrixLaurent, stack
-from .loopgroup import FilterSystem, Loop, certify_loop, loop_to_filters, polyphase_matrix
+from .loopgroup import FilterSystem, Loop, certify_loop, interleave, loop_to_filters, polyphase_matrix
 
 PASS, FAIL, USAGE = 0, 1, 2
 
@@ -66,6 +66,11 @@ def _emit(report: dict[str, Any], as_json: bool) -> None:
     else:
         for key, value in report.items():
             print(f"{key}: {value}")
+
+
+def _filters(loaded: FilterSystem | MatrixLaurent) -> FilterSystem:
+    """The input's filters, not certified (a loop's are interleaved), to read budgets off."""
+    return loaded if isinstance(loaded, FilterSystem) else FilterSystem(loaded.n, interleave(loaded))
 
 
 def _certify(path: str, loaded: FilterSystem | MatrixLaurent, tol: float) -> Loop:
@@ -108,6 +113,7 @@ def _cells(values: np.ndarray) -> list[str]:
 def cmd_verify(args: argparse.Namespace) -> int:
     loaded = fileio.load_filter_file(args.path)
     assert isinstance(loaded, FilterSystem)
+    fileio.check_lags(args.path, loaded.filters, loaded.n)
     # Resolved here for the budget; the tracer (bench/spans.py) sums it from verify_qmf's arguments.
     grid = qmf._grid_size(loaded.n, args.grid)
     _check_budget("--grid", grid, grid * loaded.n, "grid values", GRID_VALUE_BUDGET)
@@ -181,6 +187,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_cascade(args: argparse.Namespace) -> int:
     loaded = fileio.load_filter_file(args.path)
     assert isinstance(loaded, FilterSystem)
+    fileio.check_lags(args.path, loaded.filters, loaded.n)
     samples = wavelet.cascade_samples(loaded, args.iters)
     _check_budget("--iters", args.iters, samples, "samples", CASCADE_SAMPLE_BUDGET)
     system = _certified_system(args.path, loaded, args.tol)
@@ -213,9 +220,10 @@ def cmd_cascade(args: argparse.Namespace) -> int:
 
 
 def cmd_cuntz_check(args: argparse.Namespace) -> int:
-    system = _certified_system(args.path, fileio.load_input(args.path), args.tol)
-    taps = len(stack(system.filters)[1])
-    _check_budget("--band", args.band, system.n * taps * (2 * args.band + 1), "entries", BAND_ENTRY_BUDGET)
+    loaded = fileio.load_input(args.path)
+    taps = len(stack(_filters(loaded).filters)[1])
+    _check_budget("--band", args.band, loaded.n * taps * (2 * args.band + 1), "entries", BAND_ENTRY_BUDGET)
+    system = _certified_system(args.path, loaded, args.tol)
     rep = cuntz_rep.build_rep(system, cuntz_rep.Band(-args.band, args.band))
     report = cuntz_rep.verify_cuntz(rep)
     interior = report.interior
@@ -244,6 +252,7 @@ def cmd_complete(args: argparse.Namespace) -> int:
     loaded = fileio.load_filter_file(args.path, allow_partial=True)
     assert isinstance(loaded, tuple)
     n, polys = loaded
+    fileio.check_lags(args.path, polys, n)
     m0 = polys[0]
     try:
         grid = qmf._grid_size(n, args.grid)
@@ -275,9 +284,10 @@ def cmd_complete(args: argparse.Namespace) -> int:
 
 
 def cmd_commutant(args: argparse.Namespace) -> int:
-    system = _certified_system(args.path, fileio.load_input(args.path), args.tol)
-    size = cuntz_rep.attractor_band(system).size
+    loaded = fileio.load_input(args.path)
+    size = cuntz_rep.attractor_band(_filters(loaded)).size
     _check_budget("|K|", size, size**4, "entries of sigma", BAND_ENTRY_BUDGET)
+    system = _certified_system(args.path, loaded, args.tol)
     report = cuntz_rep._commutant(system, args.commutant_tol)
     svals = np.array2string(report.singular_values[:16], precision=3, separator=", ")
     _emit(

@@ -206,15 +206,9 @@ def detect_corner(loop: Loop, tol: float = RANK_TOL) -> Optional[CornerWitness]:
             break
     if not pieces:
         return None
-    exps: list[int] = []
-    cols: list[np.ndarray] = []
-    for exp in sorted(pieces):
-        b = pieces[exp]
-        for k in range(b.shape[1]):
-            exps.append(exp)
-            cols.append(b[:, k])
-    vectors = np.column_stack(cols)
-    return _verify_witness(loop, vectors, tuple(exps), tol)
+    grades = sorted(pieces)
+    exps = tuple(exp for exp in grades for _ in range(pieces[exp].shape[1]))
+    return _verify_witness(loop, np.hstack([pieces[exp] for exp in grades]), exps, tol)
 
 
 def classify(loop: Loop, tol: float = RANK_TOL) -> Verdict:

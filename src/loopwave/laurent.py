@@ -4,7 +4,9 @@ Coefficients are stored densely over the support interval, starting at
 ``offset`` (the lowest exponent); a matrix of them stores one (L, n, n)
 coefficient tensor, lag l holding the coefficient matrix of z^(lo + l).
 ``stack`` and ``unstack`` are the only conversions between polynomials and
-such arrays, and ``horner`` evaluates either form.  All values are
+such arrays, and ``horner`` evaluates either form.  A LaurentPoly is the
+1 x 1 MatrixLaurent: its sum, product, adjoint and z -> z^n are the
+matrix ones, read back from entry [0, 0].  All values are
 immutable after construction; arithmetic is exact coefficient arithmetic in
 double precision.  The circle adjoint ``star`` satisfies
 star(p)(z) = conj(p(z)) for |z| = 1, which is what makes paraunitarity a
@@ -31,16 +33,6 @@ UNIT_CIRCLE_TOL = 1e-12
 CERTIFY_TOL = 1e-10
 
 
-def _as_complex_tuple(coeffs: Iterable[complex] | np.ndarray) -> tuple[complex, ...]:
-    if isinstance(coeffs, np.ndarray) and coeffs.ndim == 1:
-        out = tuple(coeffs.astype(complex, copy=False).tolist())
-    else:
-        out = tuple(complex(c) for c in coeffs)
-    if not all(map(cmath.isfinite, out)):
-        raise ValueError(f"non-finite coefficient {next(c for c in out if not cmath.isfinite(c))!r}")
-    return out
-
-
 @dataclass(frozen=True)
 class LaurentPoly:
     """A finite complex Laurent polynomial sum_k coeffs[k] * z^(offset+k).
@@ -54,7 +46,12 @@ class LaurentPoly:
     coeffs: tuple[complex, ...]
 
     def __init__(self, offset: int, coeffs: Iterable[complex]):
-        cs = _as_complex_tuple(coeffs)
+        if isinstance(coeffs, np.ndarray) and coeffs.ndim == 1:
+            cs = tuple(coeffs.astype(complex, copy=False).tolist())
+        else:
+            cs = tuple(complex(c) for c in coeffs)
+        if not all(map(cmath.isfinite, cs)):
+            raise ValueError(f"non-finite coefficient {next(c for c in cs if not cmath.isfinite(c))!r}")
         lo, hi = 0, len(cs)
         while lo < hi and abs(cs[lo]) <= TRIM_TOL:
             lo += 1
@@ -116,16 +113,7 @@ class LaurentPoly:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: LaurentPoly | complex) -> LaurentPoly:
-        # In Python lists: an array from stack costs more than this whole sum.
-        other = _coerce(other)
-        if self.is_zero or other.is_zero:
-            return other if self.is_zero else self
-        lo = min(self.offset, other.offset)
-        out = [0j] * (max(self.degree, other.degree) - lo + 1)
-        for p in (self, other):
-            for i, c in enumerate(p.coeffs, p.offset - lo):
-                out[i] += c
-        return LaurentPoly(lo, out)
+        return (MatrixLaurent([[self]]) + MatrixLaurent([[_coerce(other)]]))[0, 0]
 
     def __radd__(self, other: complex) -> LaurentPoly:
         return self + other
@@ -142,14 +130,7 @@ class LaurentPoly:
     def __mul__(self, other: LaurentPoly | complex) -> LaurentPoly:
         if isinstance(other, (int, float, complex)):
             return LaurentPoly(self.offset, tuple(c * other for c in self.coeffs))
-        if self.is_zero or other.is_zero:
-            return LaurentPoly.zero()
-        # Support of the product is the Minkowski sum of the supports.
-        conv = np.convolve(
-            np.asarray(self.coeffs, dtype=complex),
-            np.asarray(other.coeffs, dtype=complex),
-        )
-        return LaurentPoly(self.offset + other.offset, conv.tolist())
+        return (MatrixLaurent([[self]]) @ MatrixLaurent([[other]]))[0, 0]
 
     def __rmul__(self, other: complex) -> LaurentPoly:
         return self * other
@@ -159,17 +140,11 @@ class LaurentPoly:
 
         Sends the coefficient of z^k to its conjugate at z^-k; an involution.
         """
-        return LaurentPoly(-self.degree, tuple(c.conjugate() for c in reversed(self.coeffs)))
+        return MatrixLaurent([[self]]).star()[0, 0]
 
     def compose_power(self, n: int) -> LaurentPoly:
         """Substitute z -> z^n (n >= 2): exponents are multiplied by n."""
-        if n < 2:
-            raise ValueError(f"compose_power requires n >= 2, got {n}")
-        if self.is_zero:
-            return self
-        out = [0j] * ((len(self.coeffs) - 1) * n + 1)
-        out[::n] = self.coeffs
-        return LaurentPoly(self.offset * n, out)
+        return MatrixLaurent([[self]]).compose_power(n)[0, 0]
 
     def __call__(self, z: complex) -> complex:
         """Evaluate at a point of the unit circle (Horner on the coefficients)."""

@@ -44,7 +44,7 @@ import numpy as np
 
 from .laurent import CERTIFY_TOL, LaurentPoly
 from .loopgroup import FilterSystem
-from .qmf import low_pass_check, verify_scalar_qmf
+from .qmf import LOW_PASS_TOL, low_pass_check, verify_scalar_qmf
 
 #: Successive-iterate sup-difference below which the cascade is called converged.
 CASCADE_CONV_TOL = 1e-6
@@ -263,9 +263,7 @@ def cascade(m0: LaurentPoly, n: int, level: int, tol: float = CERTIFY_TOL) -> Sc
     if scalar > tol:
         raise ValueError(f"m_0 fails the scalar QMF condition: residual {scalar:.3e}")
     if not low_pass_check(m0):
-        raise ValueError(f"m_0 is not low-pass: m_0(1) = {m0(1.0):.6g}, expected 1")
-    if m0.is_zero:
-        raise ValueError("m_0 must be nonzero")
+        raise ValueError(f"m_0 is not low-pass: |m_0(1) - 1| = {abs(m0(1.0) - 1.0):.3e} > LOW_PASS_TOL {LOW_PASS_TOL:.1e}")
 
     lowpass = LaurentPoly(0, m0.coeffs)
     a = np.asarray(lowpass.coeffs, dtype=complex)

@@ -4,7 +4,9 @@ These deliberately avoid the library's exact polyphase code paths: fiber
 sums are evaluated at sampled roots, kernels come from scipy, the corner
 search is exhaustive, the commutant is read off the band-truncated
 commutation constraints, loop algebra is entrywise np.convolve on the
-coefficient arrays read out of LaurentPoly entries, the Cuntz relations are
+coefficient arrays read out of LaurentPoly entries, and LaurentPoly algebra
+a zero-padded sum, np.convolve, a reversed conjugate or a strided write on
+its stored coefficients, the Cuntz relations are
 full dense matrix products, the intertwining identity is synthesized
 on the whole fine grid, the cascade, generator and synthesis samples are
 summed one clipped slice per filter tap or sequence entry, or all in
@@ -112,6 +114,45 @@ def grid_eval(a: tuple[int, np.ndarray], z: complex) -> np.ndarray:
     """A(z) = sum_l C[l] z^(lo + l) as a plain power sum."""
     lo, c = a
     return sum(c[l] * z ** (lo + l) for l in range(len(c)))
+
+
+def trimmed(lo: int, c: np.ndarray) -> tuple[int, np.ndarray]:
+    """(lo, c) with end coefficients of modulus at most 1e-14 (TRIM_TOL)
+    dropped one at a time; the zero polynomial is (0, [])."""
+    c = np.asarray(c, dtype=complex)
+    while len(c) and abs(c[0]) <= 1e-14:
+        lo, c = lo + 1, c[1:]
+    while len(c) and abs(c[-1]) <= 1e-14:
+        c = c[:-1]
+    return (lo, c) if len(c) else (0, c)
+
+
+def padded_sum(p, q, sign: float = 1.0) -> tuple[int, np.ndarray]:
+    """Coefficients of p + sign q: both zero-padded onto one exponent range."""
+    lo = min(p.offset, q.offset)
+    out = np.zeros(max(p.offset + len(p.coeffs), q.offset + len(q.coeffs)) - lo, dtype=complex)
+    out[p.offset - lo : p.offset - lo + len(p.coeffs)] += np.array(p.coeffs, dtype=complex)
+    out[q.offset - lo : q.offset - lo + len(q.coeffs)] += sign * np.array(q.coeffs, dtype=complex)
+    return trimmed(lo, out)
+
+
+def convolved(p, q) -> tuple[int, np.ndarray]:
+    """Coefficients of p q by np.convolve of the stored coefficients."""
+    if p.is_zero or q.is_zero:
+        return 0, np.zeros(0, dtype=complex)
+    return trimmed(p.offset + q.offset, np.convolve(np.array(p.coeffs), np.array(q.coeffs)))
+
+
+def reversed_conjugate(p) -> tuple[int, np.ndarray]:
+    """Coefficients of the circle adjoint: z^k's coefficient, conjugated, at z^-k."""
+    return trimmed(-(p.offset + len(p.coeffs) - 1), np.conj(np.array(p.coeffs, dtype=complex)[::-1]))
+
+
+def strided(p, n: int) -> tuple[int, np.ndarray]:
+    """Coefficients of p(z^n): the stored coefficients written every n-th place."""
+    out = np.zeros(max(len(p.coeffs) - 1, 0) * n + 1, dtype=complex)
+    out[: len(p.coeffs) * n : n] = p.coeffs
+    return trimmed(p.offset * n, out)
 
 
 def poly_eval(p, z: complex) -> complex:

@@ -201,6 +201,21 @@ class TestCascadeCommand:
         err = capsys.readouterr().err
         assert "low-pass" in err
 
+    def test_low_pass_refusal_shows_the_defect(self, tmp_path, capsys):
+        """A first tap raised by 1e-8 passes verify at --tol 1e-6, and cascade
+        names the defect |m_0(1) - 1| and the fixed LOW_PASS_TOL it fails."""
+        d4 = daubechies4_system()
+        m0 = d4.filters[0]
+        raised = LaurentPoly(m0.offset, (m0.coeffs[0] + 1e-8,) + m0.coeffs[1:])
+        path = tmp_path / "d4p.json"
+        fileio.save_filter_file(path, FilterSystem(2, [raised, d4.filters[1]]))
+        assert main(["verify", str(path), "--tol", "1e-6"]) == 0
+        capsys.readouterr()
+        assert main(["cascade", str(path), "--iters", "3", "--tol", "1e-6", "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"failure: m_0 is not low-pass: |m_0(1) - 1| = {abs(raised(1.0) - 1):.3e} > LOW_PASS_TOL 1.0e-10\n"
+        assert 0.9e-8 < abs(raised(1.0) - 1) < 1.1e-8
+
     def test_complex_generator_cells_reparse(self, tmp_path):
         # m_1 scaled by i is still QMF; its samples exercise the complex CSV cells
         system = FilterSystem(

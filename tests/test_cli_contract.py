@@ -102,6 +102,16 @@ def _write_inputs(root: Path) -> None:
         "booloffset": {**haar, "filters": [{**f, "offset": True} for f in haar["filters"]]},
         "boolcoeff": {**haar, "filters": [{**f, "coeffs": [[True, False]] + f["coeffs"][1:]} for f in haar["filters"]]},
         "boolversion": {**haar, "version": True},
+        # polyphase loops of LAG_BUDGET lags and one more: m_1 times z^2046 and z^2048, and diag(1, z^1024)
+        "lagsat": {**haar, "filters": [haar["filters"][0], {**haar["filters"][1], "offset": 2046}]},
+        "lagsover": {**haar, "filters": [haar["filters"][0], {**haar["filters"][1], "offset": 2048}]},
+        "loopover": {**ident, "entries": [ident["entries"][0], [ident["entries"][1][0], {**ident["entries"][1][1], "offset": 1024}]]},
+        # diag(1, z^64): paraunitary, and over the --band 100000 and commutant budgets
+        "wideloop": {**ident, "entries": [ident["entries"][0], [ident["entries"][1][0], {**ident["entries"][1][1], "offset": 64}]]},
+        # the identity times z^(2^30), whose filters sit at offsets 2^31 and 2^31 + 1
+        "loopfar": {**ident, "entries": [[{**e, "offset": 2**30} for e in row] for row in ident["entries"]]},
+        # m_1 is placed one above m_0's offset, at 2^31
+        "m0odd": {"version": 1, "n": 2, "filters": [{"offset": 2**31 - 1, "coeffs": [[0.5, 0], [0.5, 0], [1e-12, 0]]}]},
     }
     for name, doc in malformed.items():
         (root / f"{name}.json").write_text(json.dumps(doc))
@@ -363,12 +373,15 @@ CONTRACT = {
         ("boolean version", "verify boolversion.json --json", 2, "error: "),
         ("negative size", "verify haar.json --grid -2", 1, "failure: "),
         ("NaN tol", "verify haar.json --tol nan", 2, "error: "),
+        ("span over budget", "verify lagsover.json", 2, "error: "),
     ],
     "convert --to loop": [
         ("missing file", "convert missing.json --to loop --out out.json", 2, "error: "),
         ("broken JSON", "convert broken.json --to loop --out out.json", 2, "error: "),
         ("wrong kind", "convert loop2.json --to loop --out out.json", 2, "error: "),
         ("not paraunitary", "convert scaled.json --to loop --out out.json", 1, "failure: "),
+        ("span at the budget", "convert lagsat.json --to loop --out out.json", 0, None),
+        ("span over budget", "convert lagsover.json --to loop --out out.json", 2, "error: "),
         ("NaN tol", "convert haar.json --to loop --out out.json --tol nan", 2, "error: "),
         ("offset too large", "convert bigoffset.json --to loop --out out.json", 2, "error: "),
         ("--out in a missing directory", "convert haar.json --to loop --out nodir/out.json", 2, "error: "),
@@ -381,6 +394,9 @@ CONTRACT = {
         ("not paraunitary", "convert badloop.json --to filters --out out.json", 1, "failure: "),
         ("NaN tol", "convert loop2.json --to filters --out out.json --tol nan", 2, "error: "),
         ("offset too large", "convert bigoffsetloop.json --to filters --out out.json", 2, "error: "),
+        # the loop loads, but its filters would not
+        ("writes an offset its loader refuses", "convert loopfar.json --to filters --out out.json", 2, "error: "),
+        ("span over budget", "convert loopover.json --to filters --out out.json", 2, "error: "),
         ("--out in a missing directory", "convert loop2.json --to filters --out nodir/out.json", 2, "error: "),
         ("--out a directory", "convert loop2.json --to filters --out .", 2, "error: "),
     ],
@@ -394,6 +410,8 @@ CONTRACT = {
         ("coeffs null", "classify coeffsnull.json", 2, "error: "),
         ("integer too large for a float", "classify bigint.json", 2, "error: "),
         ("offset too large", "classify bigoffset.json", 2, "error: "),
+        ("span over budget", "classify lagsover.json", 2, "error: "),
+        ("loop span over budget", "classify loopover.json", 2, "error: "),
     ],
     "cascade": [
         ("missing file", "cascade missing.json --iters 2 --out out.csv", 2, "error: "),
@@ -405,6 +423,7 @@ CONTRACT = {
         ("negative size", "cascade d4.json --iters -1 --out out.csv", 2, "error: "),
         ("NaN tol", "cascade d4.json --iters 2 --out out.csv --tol nan", 2, "error: "),
         ("offset too large", "cascade bigoffset.json --iters 2 --out out.csv", 2, "error: "),
+        ("span over budget", "cascade lagsover.json --iters 2 --out out.csv", 2, "error: "),
         ("--out in a missing directory", "cascade d4.json --iters 2 --out nodir/out.csv", 2, "error: "),
         ("--out a directory", "cascade d4.json --iters 2 --out .", 2, "error: "),
     ],
@@ -413,6 +432,9 @@ CONTRACT = {
         ("broken JSON", "cuntz-check broken.json --band 2", 2, "error: "),
         ("not paraunitary", "cuntz-check badloop.json --band 2", 1, "failure: "),
         ("over budget", f"cuntz-check d4.json --band {10**18}", 2, "error: "),
+        # estimated from the loop's interleaved filters, before its certificate
+        ("over budget, loop file", "cuntz-check wideloop.json --band 100000", 2, "error: "),
+        ("span over budget", "cuntz-check loopover.json --band 2", 2, "error: "),
         ("negative size", "cuntz-check d4.json --band -1", 2, "error: "),
         ("NaN tol", "cuntz-check d4.json --band 2 --tol nan", 2, "error: "),
         ("offset too large", "cuntz-check bigoffset.json --band 2", 2, "error: "),
@@ -423,6 +445,7 @@ CONTRACT = {
         ("not paraunitary", "equiv loop2.json badloop.json", 1, "failure: "),
         ("NaN tol", "equiv loop2.json loop2.json --tol nan", 2, "error: "),
         ("offset too large", "equiv loop2.json bigoffsetloop.json", 2, "error: "),
+        ("span over budget", "equiv loop2.json lagsover.json", 2, "error: "),
     ],
     "complete": [
         ("missing file", "complete missing.json --out out.json", 2, "error: "),
@@ -436,6 +459,8 @@ CONTRACT = {
         ("fir2 at n = 10^9", "complete m0huge.json --out out.json", 1, "failure: "),
         # m_1 is placed beside m_0, so the polyphase loop spans at most 2 lags
         ("fir2 at offset 2^31 - 1", "complete m0far.json --out out.json", 0, None),
+        ("fir2 writes an offset its loader refuses", "complete m0odd.json --out out.json", 2, "error: "),
+        ("span over budget", "complete lagsover.json --out out.json", 2, "error: "),
         ("offset too large", "complete bigoffset.json --out out.json", 2, "error: "),
         ("--out in a missing directory", "complete m0.json --out nodir/out.json", 2, "error: "),
         ("--out a directory", "complete m0.json --out .", 2, "error: "),
@@ -447,6 +472,8 @@ CONTRACT = {
         ("broken JSON", "commutant broken.json", 2, "error: "),
         ("not paraunitary", "commutant badloop.json", 1, "failure: "),
         ("over budget", "commutant {wide}", 2, "error: "),
+        ("over budget, loop file", "commutant wideloop.json", 2, "error: "),
+        ("span over budget", "commutant loopover.json", 2, "error: "),
         ("negative size", "commutant d4.json --band -5", 2, "error: "),
         ("NaN tol", "commutant d4.json --tol nan", 2, "error: "),
         ("offset too large", "commutant bigoffset.json", 2, "error: "),
@@ -473,3 +500,49 @@ class TestExitCodeContract:
             assert err == ""
         else:
             assert err.startswith(prefix) and err.count("\n") == 1
+
+
+class TestRefusedBeforeTheCertificate:
+    """Budgets and spans are read off the loaded input, so a refused call
+    runs no certificate, however long that certificate would take."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "cuntz-check {wide} --band 100000",
+            "cuntz-check wideloop.json --band 100000",
+            "commutant {wide}",
+            "commutant wideloop.json",
+            "verify lagsover.json",
+            "classify lagsover.json",
+            "classify loopover.json",
+            "complete lagsover.json --out out.json",
+        ],
+    )
+    def test_no_certificate(self, argv, inputs, monkeypatch, capsys):
+        import loopwave.cli
+
+        def refuse(*args, **kwargs):
+            pytest.fail("a certificate ran")
+
+        monkeypatch.setattr(loopwave.cli, "certify_loop", refuse)
+        monkeypatch.setattr(MatrixLaurent, "is_paraunitary", refuse)
+        code, _, err, written = _run(argv.format(wide=_over_budget_commutant(inputs)).split(), capsys)
+        assert (code, written) == (2, None)
+        assert err.startswith("error: ") and "over the budget of" in err
+
+    def test_files_at_the_span_budget_verify(self, inputs, capsys):
+        at = json.loads((inputs / "loopover.json").read_text())
+        at["entries"][1][1]["offset"] = 1023
+        (inputs / "loopat.json").write_text(json.dumps(at))
+        assert len(fileio.load_loop_file(inputs / "loopat.json").tensor) == fileio.LAG_BUDGET
+        assert len(lw.filters_to_loop(fileio.load_filter_file(inputs / "lagsat.json")).mat.tensor) == fileio.LAG_BUDGET
+        for argv in ("verify lagsat.json", "classify loopat.json"):
+            code, _, err, _ = _run(argv.split(), capsys)
+            assert (code, err) == (0, "")
+
+    def test_a_refused_write_leaves_the_file(self, inputs, capsys):
+        Path("out.json").write_text("kept")
+        code, _, err, _ = _run("convert loopfar.json --to filters --out out.json".split(), capsys)
+        assert code == 2
+        assert err == "error: out.json: filter 0: offset must be an integer of modulus below 2^31\n"

@@ -3,17 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from loopwave.laurent import LaurentPoly, MatrixLaurent, horner, stack, unit_grid, unstack
+from loopwave.laurent import TRIM_TOL, LaurentPoly, MatrixLaurent, horner, stack, unit_grid, unstack
 
 from helpers import (
     coefficient_grid,
+    convolved,
     grid_distance,
     grid_eval,
     grid_product,
     grid_star,
     numpy_horner,
+    padded_sum,
     python_horner,
+    reversed_conjugate,
     sampled_paraunitary_residual,
+    strided,
 )
 
 
@@ -52,6 +56,44 @@ class TestArithmetic:
         p = LaurentPoly(1, (2.0, 4.0))
         assert p * 0.5 == LaurentPoly(1, (1.0, 2.0))
         assert (p - p).is_zero
+
+
+def edge_poly(rng):
+    """A polynomial with an offset in [-6, 6] and 0 to 5 stored coefficients,
+    whose end coefficients may lie at, just below or just above TRIM_TOL."""
+    length = int(rng.integers(0, 6))
+    coeffs = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+    for end in (0, -1):
+        if length and rng.random() < 0.4:
+            coeffs[end] = TRIM_TOL * rng.choice([0.5, 1.0, 1.5, 3.0]) * np.exp(2j * np.pi * rng.random())
+    return LaurentPoly(int(rng.integers(-6, 7)), coeffs)
+
+
+class TestAlgebraValues:
+    """Sum, difference, product, adjoint and z -> z^n against numpy oracles
+    on the stored coefficients: supports exactly, values within 1e-12."""
+
+    @staticmethod
+    def check(got: LaurentPoly, want: tuple[int, np.ndarray]) -> None:
+        lo, c = want
+        assert (got.offset, len(got.coeffs)) == (lo, len(c))
+        assert np.abs(np.array(got.coeffs, dtype=complex) - c).max(initial=0.0) <= 1e-12
+
+    def test_against_oracles(self):
+        rng = np.random.default_rng(22)
+        polys = [edge_poly(rng) for _ in range(60)] + [LaurentPoly.zero(), LaurentPoly.monomial(-3, 2j), LaurentPoly(5, (TRIM_TOL * 1.5,))]
+        assert any(p.is_zero for p in polys) and any(len(p.coeffs) == 1 for p in polys)
+        # q differs from p by TRIM_TOL-sized amounts, so p - q trims to a few coefficients or none
+        near = [LaurentPoly(p.offset, np.array(p.coeffs) + TRIM_TOL * rng.choice([0.0, 0.5, 1.0, 2.0], len(p.coeffs))) for p in polys]
+        pairs = [(p, q) for p in polys for q in polys[::7]] + list(zip(polys, near))
+        for p, q in pairs:
+            self.check(p + q, padded_sum(p, q))
+            self.check(p - q, padded_sum(p, q, -1.0))
+            self.check(p * q, convolved(p, q))
+        for p in polys:
+            self.check(p.star(), reversed_conjugate(p))
+            for n in (2, 3, 5):
+                self.check(p.compose_power(n), strided(p, n))
 
 
 class TestStar:
