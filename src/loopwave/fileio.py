@@ -11,8 +11,8 @@ Loop file (version 1):
      "entries": [[{"offset": 0, "coeffs": [[re, im], ...]}, ...], ...]}
 
 Coefficients are [re, im] pairs so that Laurent polynomials with negative
-offsets round-trip losslessly.  A writer passes its document through the
-loader's checks and ``check_lags`` first, and writes nothing they refuse.
+offsets round-trip losslessly.  Every loader refuses a polyphase loop over
+``LAG_BUDGET`` lags, and a writer passes its document through the loader first.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ class FileFormatError(ValueError):
     """Raised on malformed or out-of-contract input files."""
 
 
-def check_lags(path: str | Path, polys: Sequence[LaurentPoly], block: int) -> None:
+def _check_lags(path: str | Path, polys: Sequence[LaurentPoly], block: int) -> None:
     """Refuse polynomials whose loop would span more than LAG_BUDGET lags,
     from their supports: exponent t lies at lag floor(t / block), block N
     for filters and 1 for the entries of a loop."""
@@ -96,8 +96,8 @@ def _check_header(doc: Any, path: str | Path) -> int:
 
 def load_filter_file(path: str | Path, allow_partial: bool = False) -> FilterSystem | tuple[int, list[LaurentPoly]]:
     """Load a filter file; with allow_partial, fewer than n filters are
-    accepted and (n, polys) is returned instead of a FilterSystem.  It
-    builds no array, and refuses no span: ``check_lags`` does that."""
+    accepted and (n, polys) is returned instead of a FilterSystem.  A span
+    over ``LAG_BUDGET`` lags is refused before any array is built."""
     return _filters_from_doc(_load_json(path), path, allow_partial)
 
 
@@ -110,10 +110,10 @@ def _filters_from_doc(doc: Any, path: str | Path, allow_partial: bool = False) -
     if allow_partial:
         if not 1 <= len(polys) <= n:
             raise FileFormatError(f"{path}: expected between 1 and {n} filters, got {len(polys)}")
-        return n, polys
-    if len(polys) != n:
+    elif len(polys) != n:
         raise FileFormatError(f"{path}: expected exactly {n} filters, got {len(polys)}")
-    return FilterSystem(n, polys)
+    _check_lags(path, polys, n)
+    return (n, polys) if allow_partial else FilterSystem(n, polys)
 
 
 def save_filter_file(path: str | Path, system: FilterSystem) -> None:
@@ -122,7 +122,7 @@ def save_filter_file(path: str | Path, system: FilterSystem) -> None:
         "n": system.n,
         "filters": [_poly_to_json(f) for f in system.filters],
     }
-    check_lags(path, _filters_from_doc(doc, path).filters, system.n)
+    _filters_from_doc(doc, path)
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
@@ -139,7 +139,7 @@ def _loop_from_doc(doc: Any, path: str | Path) -> MatrixLaurent:
         [_poly_from_json(grid[i][j], f"{path}: entry ({i},{j})") for j in range(n)]
         for i in range(n)
     ]
-    check_lags(path, [p for row in rows for p in row], 1)
+    _check_lags(path, [p for row in rows for p in row], 1)
     return MatrixLaurent(rows)
 
 
@@ -157,10 +157,7 @@ def load_input(path: str | Path) -> FilterSystem | MatrixLaurent:
     """Read a filter file or a loop file, whichever it is, parsing it once."""
     doc = _load_json(path)
     if _kind(doc, path) == "filters":
-        system = _filters_from_doc(doc, path)
-        assert isinstance(system, FilterSystem)
-        check_lags(path, system.filters, system.n)
-        return system
+        return _filters_from_doc(doc, path)
     return _loop_from_doc(doc, path)
 
 

@@ -69,8 +69,11 @@ def graded_kernels(loop: Loop, tol: float = RANK_TOL) -> dict[int, np.ndarray]:
     the support have K_n = 0 automatically since the coefficients of a
     paraunitary loop have no common kernel).  The returned bases are
     mutually orthogonal across exponents; that this holds is a consequence
-    of paraunitarity and is re-checked here, at tol.
+    of paraunitarity and is re-checked here, at tol.  A tol that is not
+    below 1 (NaN included) decides no rank and is refused.
     """
+    if not tol < 1:
+        raise ValueError(f"tol {tol!r} >= 1 decides no rank: no coefficient singular value exceeds 1")
     if not loop.certified:
         raise ValueError("graded kernels require a certified paraunitary loop")
     n = loop.n
@@ -168,9 +171,9 @@ def detect_corner(loop: Loop, tol: float = RANK_TOL) -> Optional[CornerWitness]:
     that is paraunitary only within tol has coefficients off by about tol,
     which a finer test would read as structure.
 
-    Raises ValueError before searching when tol >= 1, which counts every
-    coefficient singular value (at most 1, as sum_c A_c* A_c = I) as zero;
-    and when a re-check fails at tol, which no bound in tol alone excludes:
+    Raises ValueError before searching when tol is not below 1 (graded_kernels
+    checks it), which counts every coefficient singular value (at most 1, as
+    sum_c A_c* A_c = I) as zero; and when a re-check fails at tol, which no bound in tol alone excludes:
     kernel bases are off by about tol over the smallest singular-value gap.
 
     Starting from the full graded kernels, alternately discards the part of
@@ -180,8 +183,6 @@ def detect_corner(loop: Loop, tol: float = RANK_TOL) -> Optional[CornerWitness]:
     corner identity holds; the resulting witness is re-verified at the
     coefficient level before being returned.
     """
-    if tol >= 1:
-        raise ValueError(f"tol {tol!r} >= 1 decides no rank: no coefficient singular value exceeds 1")
     tol = max(tol, RANK_TOL)
     kernels = graded_kernels(loop, tol)
     if not kernels:

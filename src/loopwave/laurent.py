@@ -128,9 +128,9 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other: LaurentPoly | complex) -> LaurentPoly:
-        if isinstance(other, (int, float, complex)):
-            return LaurentPoly(self.offset, tuple(c * other for c in self.coeffs))
-        return (MatrixLaurent([[self]]) @ MatrixLaurent([[other]]))[0, 0]
+        if isinstance(other, LaurentPoly):
+            return (MatrixLaurent([[self]]) @ MatrixLaurent([[other]]))[0, 0]
+        return LaurentPoly(self.offset, tuple(c * other for c in self.coeffs))
 
     def __rmul__(self, other: complex) -> LaurentPoly:
         return self * other

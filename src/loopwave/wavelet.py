@@ -255,7 +255,8 @@ def cascade(m0: LaurentPoly, n: int, level: int, tol: float = CERTIFY_TOL) -> Sc
     fine cell, against the previous piecewise-constant iterate.
 
     Real taps on a seed with no imaginary part keep every iterate real: each
-    is summed in float64, and the result records real=True.
+    is summed in float64, and the result records real=True.  Raises
+    ValueError once an iterate exceeds DIVERGENCE_GUARD in modulus.
     """
     if level < 0:
         raise ValueError("level must be >= 0")
@@ -285,7 +286,7 @@ def cascade(m0: LaurentPoly, n: int, level: int, tol: float = CERTIFY_TOL) -> Sc
         _filter_sum(phi, lowpass, n, n**t, nxt, visit=lambda j, block: _increment(sup, phi, n, seed, j, block))
         peak, delta = sup.tolist()
         if peak > DIVERGENCE_GUARD:
-            raise RuntimeError(f"cascade diverged: sup |phi| = {peak:.3e} at iteration {t + 1}")
+            raise ValueError(f"cascade diverged: sup |phi| = {peak:.3e} at iteration {t + 1}")
         deltas.append(delta)
         phi = values = nxt
     values.setflags(write=False)
@@ -309,7 +310,7 @@ def cascade_samples(system: FilterSystem, level: int) -> int | float:
     exceeds 2^1023, far beyond any memory.
     """
     n = system.n
-    if level * math.log2(n) > 1023:
+    if level > 1023 / math.log2(n):
         return math.inf
     scale = n ** max(level, 0)
     phi = (len(system.filters[0].coeffs) - 1) * scale // (n - 1) + 1

@@ -112,6 +112,10 @@ def _write_inputs(root: Path) -> None:
         "loopfar": {**ident, "entries": [[{**e, "offset": 2**30} for e in row] for row in ident["entries"]]},
         # m_1 is placed one above m_0's offset, at 2^31
         "m0odd": {"version": 1, "n": 2, "filters": [{"offset": 2**31 - 1, "coeffs": [[0.5, 0], [0.5, 0], [1e-12, 0]]}]},
+        # a grid of N^3 = 10^1200 values, an estimate beyond float range
+        "m0vast": {"version": 1, "n": 10**400, "filters": [{"offset": 0, "coeffs": [[0.5, 0], [0.5, 0]]}]},
+        # m_0 = (-1/2, 2, -1/2): certificate residual 7.5, scalar residual 4, m_0(1) = 1; its cascade diverges
+        "diverging": {**haar, "filters": [{"offset": 0, "coeffs": [[-0.5, 0], [2, 0], [-0.5, 0]]}, {"offset": 0, "coeffs": [[0.5, 0], [-0.5, 0]]}]},
     }
     for name, doc in malformed.items():
         (root / f"{name}.json").write_text(json.dumps(doc))
@@ -364,6 +368,7 @@ CONTRACT = {
         # the report goes to stdout
         ("not paraunitary", "verify scaled.json", 1, None),
         ("over budget", f"verify haar.json --grid {2 * 10**18}", 2, "error: "),
+        ("over budget beyond float range", f"verify haar.json --grid {2 * 10**400}", 2, "error: "),
         # checked by the library's grid rule before any budget
         ("over budget, not a multiple of N", f"verify d4.json --grid {2 * 10**18 + 1}", 1, "failure: "),
         ("offset too large", "verify bigoffset.json", 2, "error: "),
@@ -420,6 +425,8 @@ CONTRACT = {
         ("not paraunitary", "cascade scaled.json --iters 2 --out out.csv", 1, "failure: "),
         ("not low-pass", "cascade base2.json --iters 2 --out out.csv", 1, "failure: "),
         ("over budget", f"cascade d4.json --iters {10**9} --out out.csv", 2, "error: "),
+        ("over budget beyond float range", f"cascade haar.json --iters {10**400} --out out.csv", 2, "error: "),
+        ("diverges", "cascade diverging.json --iters 12 --tol 10 --out out.csv", 1, "failure: "),
         ("negative size", "cascade d4.json --iters -1 --out out.csv", 2, "error: "),
         ("NaN tol", "cascade d4.json --iters 2 --out out.csv --tol nan", 2, "error: "),
         ("offset too large", "cascade bigoffset.json --iters 2 --out out.csv", 2, "error: "),
@@ -432,6 +439,7 @@ CONTRACT = {
         ("broken JSON", "cuntz-check broken.json --band 2", 2, "error: "),
         ("not paraunitary", "cuntz-check badloop.json --band 2", 1, "failure: "),
         ("over budget", f"cuntz-check d4.json --band {10**18}", 2, "error: "),
+        ("over budget beyond float range", f"cuntz-check haar.json --band {10**400}", 2, "error: "),
         # estimated from the loop's interleaved filters, before its certificate
         ("over budget, loop file", "cuntz-check wideloop.json --band 100000", 2, "error: "),
         ("span over budget", "cuntz-check loopover.json --band 2", 2, "error: "),
@@ -453,6 +461,7 @@ CONTRACT = {
         ("wrong kind", "complete loop2.json --out out.json", 2, "error: "),
         ("not QMF", "complete scaled.json --out out.json", 1, "failure: "),
         ("over budget", f"complete m0.json --mode grid --grid {2 * 10**18} --out out.json", 2, "error: "),
+        ("over budget beyond float range", "complete m0vast.json --mode grid --out out.json", 2, "error: "),
         # fir2 builds no grid, so --grid is only checked to be a multiple of N
         ("fir2 at a huge grid", f"complete m0.json --grid {2 * 10**18} --out out.json", 0, None),
         # refused before m_0 is padded to blocks of N

@@ -79,10 +79,20 @@ def test_non_finite_coefficient_rejected(tmp_path):
 
 
 def test_offsets_below_two_to_the_31_load(tmp_path):
+    """Each far offset loads, a span of one lag; the two together span 2^31
+    lags, which every read refuses."""
     path = tmp_path / "f.json"
-    offsets = [2**31 - 1, -(2**31 - 1)]
-    path.write_text(json.dumps({"version": 1, "n": 2, "filters": [{"offset": t, "coeffs": [[1, 0]]} for t in offsets]}))
-    assert [f.offset for f in load_filter_file(path).filters] == offsets
+
+    def write(offsets):
+        path.write_text(json.dumps({"version": 1, "n": 2, "filters": [{"offset": t, "coeffs": [[1, 0]]} for t in offsets]}))
+
+    for t in (2**31 - 1, -(2**31 - 1)):
+        write([t, t])
+        assert [f.offset for f in load_filter_file(path).filters] == [t, t]
+    write([2**31 - 1, -(2**31 - 1)])
+    for partial in (False, True):
+        with pytest.raises(FileFormatError, match="span 2147483648 lags"):
+            load_filter_file(path, allow_partial=partial)
 
 
 def test_partial_load_for_completion_input(tmp_path):

@@ -67,6 +67,13 @@ class TestGradedKernels:
         with pytest.raises(ValueError):
             graded_kernels(Loop(MatrixLaurent.identity(2), certified=False))
 
+    @pytest.mark.parametrize("tol", [1.0, float("nan")])
+    def test_tolerance_that_decides_no_rank_refused(self, tol):
+        loop = seeded_loop(2, 3, 0)
+        for search in (graded_kernels, classify):
+            with pytest.raises(ValueError, match="decides no rank"):
+                search(loop, tol)
+
     def test_non_orthogonal_kernels_named(self):
         # A(z) = A_0 + A_1 z with ker A_1 = span(1, -1) and ker A_0 = span e_1:
         # not paraunitary, so K_0 and K_1 overlap

@@ -55,6 +55,7 @@ class TestArithmetic:
     def test_scalar_ops(self):
         p = LaurentPoly(1, (2.0, 4.0))
         assert p * 0.5 == LaurentPoly(1, (1.0, 2.0))
+        assert p * np.int64(3) == p * 3 == p * np.float64(3)
         assert (p - p).is_zero
 
 

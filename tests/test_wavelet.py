@@ -108,6 +108,9 @@ class TestCascade:
             cascade(LaurentPoly.one(), 2, 3)  # fails scalar QMF
         with pytest.raises(ValueError):
             cascade(LaurentPoly.monomial(0, 1 / ROOT2), 2, 3)  # fails low-pass
+        # scalar residual 4 and m_0(1) = 1: passes at tol 10, and sup |phi| passes 1e6 at iteration 10
+        with pytest.raises(ValueError, match="diverged"):
+            cascade(LaurentPoly(0, (-0.5, 2, -0.5)), 2, 12, tol=10)
 
     @pytest.mark.parametrize("level", [4, 7])
     def test_refinement_consistency(self, d4, level):
