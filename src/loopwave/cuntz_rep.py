@@ -342,10 +342,8 @@ def transition_operator_matrix(rep_a: TruncatedRep, rep_b: TruncatedRep, tol: fl
     # The symbols have no exponent beyond the last lag either: conj(n_i) m_j
     # has exponents of modulus at most L - 1.
     worst = _lag_residual(wa, wb, lambda d: symbols.laurent_coefficient(-d)[:, :, None], hermitian=False)
-    if worst > tol:
-        raise RuntimeError(
-            f"truncated operator products disagree with multiplication symbols: {worst:.3e} > {tol:.1e}"
-        )
+    if not worst <= tol:
+        raise RuntimeError(f"operator products disagree with their symbols at tol {tol:.3e}: residual {worst:.3e}")
     return symbols
 
 
@@ -379,13 +377,15 @@ def commutant_diagnostic(rep: TruncatedRep, tol: float = COMMUTANT_TOL) -> Commu
     entries V_i[p, k] = sqrt(N) c_{i, p-Nk} come from the taps alone: only
     rep.system is read, and no band of rep changes the answer.  With A
     flattened row-major, sigma = sum_i kron(V_i, conj V_i), and the
-    dimension is the number of singular values of sigma - I below tol.
+    dimension is the number of singular values of sigma - I below tol (not NaN).
     """
     return _commutant(rep.system, tol)
 
 
 def _commutant(system: FilterSystem, tol: float) -> CommutantReport:
     """commutant_diagnostic of a filter system; sigma has |K|^4 entries."""
+    if math.isnan(tol):
+        raise ValueError("tol nan decides no commutant dimension: no singular value compares with NaN")
     attractor = attractor_band(system)
     t_min, coeffs = _filter_stack(system)
     k = np.arange(attractor.k_min, attractor.k_max + 1)

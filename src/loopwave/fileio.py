@@ -98,10 +98,11 @@ def load_filter_file(path: str | Path, allow_partial: bool = False) -> FilterSys
     """Load a filter file; with allow_partial, fewer than n filters are
     accepted and (n, polys) is returned instead of a FilterSystem.  A span
     over ``LAG_BUDGET`` lags is refused before any array is built."""
-    return _filters_from_doc(_load_json(path), path, allow_partial)
+    n, polys = _filters_from_doc(_load_json(path), path, allow_partial)
+    return (n, polys) if allow_partial else FilterSystem(n, polys)
 
 
-def _filters_from_doc(doc: Any, path: str | Path, allow_partial: bool = False) -> FilterSystem | tuple[int, list[LaurentPoly]]:
+def _filters_from_doc(doc: Any, path: str | Path, allow_partial: bool = False) -> tuple[int, list[LaurentPoly]]:
     n = _check_header(doc, path)
     records = doc.get("filters")
     if not isinstance(records, list):
@@ -113,7 +114,7 @@ def _filters_from_doc(doc: Any, path: str | Path, allow_partial: bool = False) -
     elif len(polys) != n:
         raise FileFormatError(f"{path}: expected exactly {n} filters, got {len(polys)}")
     _check_lags(path, polys, n)
-    return (n, polys) if allow_partial else FilterSystem(n, polys)
+    return n, polys
 
 
 def save_filter_file(path: str | Path, system: FilterSystem) -> None:
@@ -157,7 +158,7 @@ def load_input(path: str | Path) -> FilterSystem | MatrixLaurent:
     """Read a filter file or a loop file, whichever it is, parsing it once."""
     doc = _load_json(path)
     if _kind(doc, path) == "filters":
-        return _filters_from_doc(doc, path)
+        return FilterSystem(*_filters_from_doc(doc, path))
     return _loop_from_doc(doc, path)
 
 

@@ -22,9 +22,6 @@ import numpy as np
 from .laurent import CERTIFY_TOL, MatrixLaurent
 from .loopgroup import Loop, certify_loop
 
-#: Relative singular-value threshold for all rank decisions.
-RANK_TOL = 1e-10
-
 IRREDUCIBLE = "irreducible"
 REDUCIBLE = "reducible"
 
@@ -43,7 +40,7 @@ SEMANTICS_NOTE = (
 )
 
 
-def _null_space(mat: np.ndarray, ambient_dim: int, tol: float = RANK_TOL) -> np.ndarray:
+def _null_space(mat: np.ndarray, ambient_dim: int, tol: float = CERTIFY_TOL) -> np.ndarray:
     """Orthonormal basis (as columns) of the null space at tol.
 
     The threshold is relative to max(1, largest singular value): the inputs
@@ -61,7 +58,7 @@ def _null_space(mat: np.ndarray, ambient_dim: int, tol: float = RANK_TOL) -> np.
     return vh[rank:].conj().T
 
 
-def graded_kernels(loop: Loop, tol: float = RANK_TOL) -> dict[int, np.ndarray]:
+def graded_kernels(loop: Loop, tol: float = CERTIFY_TOL) -> dict[int, np.ndarray]:
     """Orthonormal bases of K_n = common kernel of all coefficients but A_n,
     with ranks decided at tol.
 
@@ -69,11 +66,12 @@ def graded_kernels(loop: Loop, tol: float = RANK_TOL) -> dict[int, np.ndarray]:
     the support have K_n = 0 automatically since the coefficients of a
     paraunitary loop have no common kernel).  The returned bases are
     mutually orthogonal across exponents; that this holds is a consequence
-    of paraunitarity and is re-checked here, at tol.  A tol that is not
-    below 1 (NaN included) decides no rank and is refused.
+    of paraunitarity and is re-checked here, at tol.  A NaN tol, or one
+    not below 1, decides no rank and is refused.
     """
     if not tol < 1:
-        raise ValueError(f"tol {tol!r} >= 1 decides no rank: no coefficient singular value exceeds 1")
+        reason = ">= 1 decides no rank: no coefficient singular value exceeds 1"
+        raise ValueError(f"tol {tol!r} {reason if tol >= 1 else 'decides no rank: it is NaN'}")
     if not loop.certified:
         raise ValueError("graded kernels require a certified paraunitary loop")
     n = loop.n
@@ -92,12 +90,12 @@ def graded_kernels(loop: Loop, tol: float = RANK_TOL) -> dict[int, np.ndarray]:
         bounds = np.cumsum([0] + [out[e].shape[1] for e in exps])[:-1]
         gram = np.abs(stacked.conj().T @ stacked)
         block = np.maximum.reduceat(np.maximum.reduceat(gram, bounds, axis=0), bounds, axis=1)
-        offending = np.argwhere(np.triu(block > tol, 1))
+        offending = np.argwhere(np.triu(~(block <= tol), 1))
         if len(offending):
             a, b = offending[0]
             raise ValueError(
-                f"graded kernels K_{exps[a]} and K_{exps[b]} are not orthogonal (overlap {block[a, b]:.3e} "
-                f"> tol {tol:.3e}); the loop is not paraunitary closely enough to be graded at this tol"
+                f"graded kernels K_{exps[a]} and K_{exps[b]} are not orthogonal at tol {tol:.3e} (overlap "
+                f"{block[a, b]:.3e}); the loop is not paraunitary closely enough to be graded at this tol"
             )
     return out
 
@@ -149,9 +147,9 @@ def _verify_witness(
     rhs[np.asarray(exponents) - low, :, np.arange(m)] = (vectors @ v_matrix).T
     lhs_mat = MatrixLaurent.from_tensor(loop.mat.lo, lhs)
     residual = max(residual, lhs_mat.distance(MatrixLaurent.from_tensor(low, rhs)))
-    if residual > tol:
+    if not residual <= tol:
         raise ValueError(
-            f"corner witness failed symbolic re-verification (residual {residual:.3e} > tol {tol:.3e}); "
+            f"corner witness failed symbolic re-verification at tol {tol:.3e} (residual {residual:.3e}); "
             "the loop is not paraunitary closely enough for its corners to be decided at this tol"
         )
     return CornerWitness(
@@ -163,17 +161,16 @@ def _verify_witness(
     )
 
 
-def detect_corner(loop: Loop, tol: float = RANK_TOL) -> Optional[CornerWitness]:
+def detect_corner(loop: Loop, tol: float = CERTIFY_TOL) -> Optional[CornerWitness]:
     """Find the maximal corner of a certified loop, or None.
 
     Every rank decision and the witness re-check are made at tol, the
-    tolerance the loop was certified at, and never below RANK_TOL: a loop
+    tolerance the loop was certified at, and never below CERTIFY_TOL: a loop
     that is paraunitary only within tol has coefficients off by about tol,
     which a finer test would read as structure.
 
-    Raises ValueError before searching when tol is not below 1 (graded_kernels
-    checks it), which counts every coefficient singular value (at most 1, as
-    sum_c A_c* A_c = I) as zero; and when a re-check fails at tol, which no bound in tol alone excludes:
+    Raises ValueError before searching when graded_kernels refuses tol, and
+    when a re-check fails at tol, which no bound in tol alone excludes:
     kernel bases are off by about tol over the smallest singular-value gap.
 
     Starting from the full graded kernels, alternately discards the part of
@@ -183,7 +180,7 @@ def detect_corner(loop: Loop, tol: float = RANK_TOL) -> Optional[CornerWitness]:
     corner identity holds; the resulting witness is re-verified at the
     coefficient level before being returned.
     """
-    tol = max(tol, RANK_TOL)
+    tol = max(tol, CERTIFY_TOL)  # in this order, so a NaN tol stays NaN
     kernels = graded_kernels(loop, tol)
     if not kernels:
         return None
@@ -212,7 +209,7 @@ def detect_corner(loop: Loop, tol: float = RANK_TOL) -> Optional[CornerWitness]:
     return _verify_witness(loop, np.hstack([pieces[exp] for exp in grades]), exps, tol)
 
 
-def classify(loop: Loop, tol: float = RANK_TOL) -> Verdict:
+def classify(loop: Loop, tol: float = CERTIFY_TOL) -> Verdict:
     """Irreducible iff no corner exists at tol, under the documented corner reading."""
     witness = detect_corner(loop, tol)
     if witness is None:
@@ -232,11 +229,13 @@ def equivalent(a: Loop, b: Loop, tol: float = CERTIFY_TOL) -> str:
     classification criterion.  The middle verdict is a certificate of the
     corner relation only, never a proof of unitary equivalence.
     """
+    if a.n != b.n:
+        raise ValueError(f"the loops are not compared: sizes {a.n} and {b.n} differ")
     if not (a.certified and b.certified):
         raise ValueError("equivalence comparison requires certified loops")
     if a.mat.distance(b.mat) <= tol:
         return EQUAL
-    tol = max(tol, CERTIFY_TOL)
+    tol = max(tol, CERTIFY_TOL)  # in this order, so a NaN tol stays NaN
     try:
         transition = certify_loop(a.mat @ b.mat.star(), tol)
     except ValueError as exc:

@@ -24,8 +24,6 @@ from .loopgroup import FilterSystem, certify_loop, decimate, polyphase_matrix
 #: multiple of N by default_grid.
 DEFAULT_GRID = 256
 
-LOW_PASS_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class QmfReport:
@@ -68,9 +66,9 @@ def verify_scalar_qmf(m0: LaurentPoly, n: int) -> float:
     return float(np.max(np.abs(gram)))
 
 
-def low_pass_check(m0: LaurentPoly) -> bool:
-    """True when m_0(1) = 1, making m_0 an averaging filter."""
-    return abs(m0(1.0) - 1.0) <= LOW_PASS_TOL
+def low_pass_check(m0: LaurentPoly, tol: float = CERTIFY_TOL) -> bool:
+    """True when m_0(1) = 1 within tol, making m_0 an averaging filter."""
+    return abs(m0(1.0) - 1.0) <= tol
 
 
 def fiber_representatives(x: complex | np.ndarray, n: int) -> np.ndarray:
@@ -130,7 +128,7 @@ def verify_qmf(system: FilterSystem, tol: float = CERTIFY_TOL, grid_size: int | 
         n=n,
         unitary_residual=unitary_residual,
         scalar_residual=verify_scalar_qmf(system.filters[0], n),
-        low_pass=low_pass_check(system.filters[0]),
+        low_pass=low_pass_check(system.filters[0], tol),
         grid_residual=grid_residual,
         tol=tol,
     )
@@ -232,8 +230,8 @@ def complete(
     if mode == "fir2" and n != 2:  # refused before the scalar test pads m_0 to blocks of N
         raise ValueError("fir2 completion is defined only for scale 2")
     scalar = verify_scalar_qmf(m0, n)
-    if scalar > tol:
-        raise ValueError(f"m_0 fails the scalar QMF condition: residual {scalar:.3e} > {tol:.1e}")
+    if not scalar <= tol:
+        raise ValueError(f"m_0 fails the scalar QMF condition at tol {tol:.3e}: residual {scalar:.3e}")
     grid_size = _grid_size(n, grid_size)
     if mode == "fir2":
         return certify(FilterSystem(2, [m0, _fir2_completion(m0)]), tol=tol)

@@ -44,7 +44,7 @@ import numpy as np
 
 from .laurent import CERTIFY_TOL, LaurentPoly
 from .loopgroup import FilterSystem
-from .qmf import LOW_PASS_TOL, low_pass_check, verify_scalar_qmf
+from .qmf import low_pass_check, verify_scalar_qmf
 
 #: Successive-iterate sup-difference below which the cascade is called converged.
 CASCADE_CONV_TOL = 1e-6
@@ -245,7 +245,7 @@ def cascade(m0: LaurentPoly, n: int, level: int, tol: float = CERTIFY_TOL) -> Sc
     The point seed is phi at the integers (see ``_integer_point_values``);
     the box seed on [0, 1) replaces it when eigenvalue 1 of the two-scale
     matrix is not simple, and the result records which one was used.
-    Requires the scalar QMF condition and the averaging property
+    Requires, at tol, the scalar QMF condition and the averaging property
     m_0(1) = 1; a filter supported away from exponent 0 is translated there
     first and the shift recorded.  Each iteration refines the grid by a
     factor of N and records its sup-difference from the previous iterate,
@@ -261,10 +261,10 @@ def cascade(m0: LaurentPoly, n: int, level: int, tol: float = CERTIFY_TOL) -> Sc
     if level < 0:
         raise ValueError("level must be >= 0")
     scalar = verify_scalar_qmf(m0, n)
-    if scalar > tol:
-        raise ValueError(f"m_0 fails the scalar QMF condition: residual {scalar:.3e}")
-    if not low_pass_check(m0):
-        raise ValueError(f"m_0 is not low-pass: |m_0(1) - 1| = {abs(m0(1.0) - 1.0):.3e} > LOW_PASS_TOL {LOW_PASS_TOL:.1e}")
+    if not scalar <= tol:
+        raise ValueError(f"m_0 fails the scalar QMF condition at tol {tol:.3e}: residual {scalar:.3e}")
+    if not low_pass_check(m0, tol):
+        raise ValueError(f"m_0 is not low-pass at tol {tol:.3e}: |m_0(1) - 1| = {abs(m0(1.0) - 1.0):.3e}")
 
     lowpass = LaurentPoly(0, m0.coeffs)
     a = np.asarray(lowpass.coeffs, dtype=complex)
@@ -338,6 +338,7 @@ def wavelets(system: FilterSystem, phi: ScalingFunctionSamples) -> WaveletSample
 
     Evaluated on phi's grid refined once; the common sample window is the
     union of the per-generator supports derived from the filter supports.
+    No tol is taken: orthonormal_case tests low-pass at CERTIFY_TOL.
     """
     if not system.verified:
         raise ValueError("wavelets require a verified filter system")

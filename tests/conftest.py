@@ -3,6 +3,7 @@ import pytest
 
 from loopwave import (
     FilterSystem,
+    LaurentPoly,
     Loop,
     MatrixLaurent,
     base_system,
@@ -52,3 +53,12 @@ def seeded_lowpass_system(n: int, degree: int, seed: int) -> FilterSystem:
     w[0] -= 1.0
     turn = (np.eye(n) - 2.0 * np.outer(w, w.conj()) / np.vdot(w, w).real) / phase
     return loop_to_filters(certify_loop(MatrixLaurent.from_constant(turn) @ loop.mat))
+
+
+def raised_d4_system() -> FilterSystem:
+    """d4 with m_0's first tap raised by 1e-8: |m_0(1) - 1| = 1e-8, a
+    certificate residual of about 1.37e-8 and a scalar residual of about
+    6.8e-9, so it passes at 1e-6 and fails at the default tol."""
+    d4 = daubechies4_system()
+    m0 = d4.filters[0]
+    return FilterSystem(2, [LaurentPoly(m0.offset, (m0.coeffs[0] + 1e-8,) + m0.coeffs[1:]), d4.filters[1]])

@@ -14,7 +14,7 @@ import loopwave
 from loopwave import cli, cuntz_rep, fileio
 from loopwave.cli import main
 
-from conftest import seeded_lowpass_system
+from conftest import raised_d4_system, seeded_lowpass_system
 from helpers import cascade_csv_bytes, repr_cells
 
 ROOT2 = math.sqrt(2.0)
@@ -202,19 +202,25 @@ class TestCascadeCommand:
         assert "low-pass" in err
 
     def test_low_pass_refusal_shows_the_defect(self, tmp_path, capsys):
-        """A first tap raised by 1e-8 passes verify at --tol 1e-6, and cascade
-        names the defect |m_0(1) - 1| and the fixed LOW_PASS_TOL it fails."""
-        d4 = daubechies4_system()
-        m0 = d4.filters[0]
-        raised = LaurentPoly(m0.offset, (m0.coeffs[0] + 1e-8,) + m0.coeffs[1:])
+        """The raised d4 is refused at the default tol, with its defect and
+        the tol named, and cascades at --tol 1e-6, where verify passes it:
+        low-pass is decided at --tol."""
+        raised = raised_d4_system()
         path = tmp_path / "d4p.json"
-        fileio.save_filter_file(path, FilterSystem(2, [raised, d4.filters[1]]))
-        assert main(["verify", str(path), "--tol", "1e-6"]) == 0
-        capsys.readouterr()
-        assert main(["cascade", str(path), "--iters", "3", "--tol", "1e-6", "--out", str(tmp_path / "x.csv")]) == 1
+        fileio.save_filter_file(path, raised)
+        out = str(tmp_path / "x.csv")
+        assert main(["cascade", str(path), "--iters", "3", "--out", out]) == 1
         err = capsys.readouterr().err
-        assert err == f"failure: m_0 is not low-pass: |m_0(1) - 1| = {abs(raised(1.0) - 1):.3e} > LOW_PASS_TOL 1.0e-10\n"
-        assert 0.9e-8 < abs(raised(1.0) - 1) < 1.1e-8
+        assert err == f"failure: {path}: not paraunitary: residual 1.366e-08 > tol 1.000e-10\n"
+        assert main(["verify", str(path), "--tol", "1e-6"]) == 0
+        assert main(["cascade", str(path), "--iters", "3", "--tol", "1e-6", "--out", out]) == 0
+        capsys.readouterr()
+        # between the scalar residual and the low-pass defect only low-pass fails
+        defect = abs(raised.filters[0](1.0) - 1)
+        assert 0.9e-8 < defect < 1.1e-8
+        with pytest.raises(ValueError) as info:
+            loopwave.cascade(raised.filters[0], 2, 3, tol=8e-9)
+        assert str(info.value) == f"m_0 is not low-pass at tol 8.000e-09: |m_0(1) - 1| = {defect:.3e}"
 
     def test_complex_generator_cells_reparse(self, tmp_path):
         # m_1 scaled by i is still QMF; its samples exercise the complex CSV cells

@@ -1,6 +1,7 @@
 """The CLI's behaviour contract: a pinned battery of calls, the exit-code
 table, and how many certificates each command runs."""
 
+import ast
 import hashlib
 import json
 from pathlib import Path
@@ -12,7 +13,7 @@ import loopwave as lw
 from loopwave import FilterSystem, LaurentPoly, MatrixLaurent, cuntz_rep, fileio, qmf
 from loopwave.cli import main
 
-from conftest import seeded_lowpass_system, seeded_system
+from conftest import raised_d4_system, seeded_lowpass_system, seeded_system
 from test_cli import HELP_SHA256, N3_FILTERS, ROOT2, _spread
 
 #: The perturbation of loose.json: its certificate residual lies between the
@@ -119,6 +120,7 @@ def _write_inputs(root: Path) -> None:
     }
     for name, doc in malformed.items():
         (root / f"{name}.json").write_text(json.dumps(doc))
+    fileio.save_filter_file(root / "d4p.json", raised_d4_system())
 
 
 INPUTS = [
@@ -305,6 +307,67 @@ class TestCallerTolerance:
             assert (code, out, err) == (0, f"verdict: {lw.irreducibility.INEQUIVALENT}\n", "")
 
 
+NAN = float("nan")
+#: m_0 = (1/3, 1/3, 1/3): scalar QMF residual 1/6, so only a NaN tol could pass it.
+THIRDS = LaurentPoly(0, (1 / 3, 1 / 3, 1 / 3))
+
+
+def _d4_rep():
+    return lw.build_rep(lw.daubechies4_system(), lw.Band(-4, 4))
+
+
+#: (case, call, exception it raises or None for a verdict, match of its message)
+NAN_CASES = [
+    ("cascade", lambda: lw.cascade(THIRDS, 2, 3, tol=NAN), ValueError, "scalar QMF condition at tol nan: "),
+    ("complete fir2", lambda: lw.complete(THIRDS, 2, tol=NAN), ValueError, "scalar QMF condition at tol nan: "),
+    ("complete grid", lambda: lw.complete(THIRDS, 2, mode="grid", grid_size=8, tol=NAN), ValueError, "scalar QMF condition at tol nan: "),
+    ("transition_operator_matrix", lambda: lw.transition_operator_matrix(_d4_rep(), _d4_rep(), tol=NAN), RuntimeError, "at tol nan: "),
+    ("commutant_diagnostic", lambda: lw.commutant_diagnostic(_d4_rep(), NAN), ValueError, "^tol nan decides no commutant"),
+    ("graded_kernels", lambda: lw.graded_kernels(lw.random_paraunitary(2, 3, 0), NAN), ValueError, "^tol nan decides no rank: it is NaN$"),
+    ("verify_qmf", lambda: lw.verify_qmf(lw.daubechies4_system(), tol=NAN).passed, None, None),
+    ("low_pass_check", lambda: lw.low_pass_check(lw.daubechies4_lowpass(), NAN), None, None),
+    ("is_paraunitary", lambda: MatrixLaurent.identity(2).is_paraunitary(NAN).ok, None, None),
+]
+
+
+class TestOneToleranceRule:
+    """Every verdict is written as residual <= tol, so a NaN tol accepts
+    nothing, and CERTIFY_TOL is the only default."""
+
+    @pytest.mark.parametrize("call, error, match", [c[1:] for c in NAN_CASES], ids=[c[0] for c in NAN_CASES])
+    def test_nan_tol_never_passes(self, call, error, match):
+        if error is None:
+            assert call() is False
+        else:
+            with pytest.raises(error, match=match):
+                call()
+
+    def test_low_pass_at_the_callers_tol(self):
+        d4p = raised_d4_system()
+        assert lw.verify_qmf(d4p, tol=1e-6).low_pass
+        assert not lw.verify_qmf(d4p).low_pass
+
+    def test_equivalent_names_differing_sizes(self):
+        with pytest.raises(ValueError, match="^the loops are not compared: sizes 2 and 4 differ$"):
+            lw.equivalent(lw.random_paraunitary(2, 3, 1), lw.random_paraunitary(4, 2, 3))
+
+    def test_one_default_tolerance(self):
+        """No module-level name but CERTIFY_TOL is bound to 1e-10, so no
+        second default can drift from it."""
+        bound = []
+        for path in sorted(Path(lw.__file__).parent.glob("*.py")):
+            for node in ast.parse(path.read_text()).body:
+                if isinstance(node, ast.Assign):
+                    targets, value = node.targets, node.value
+                elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                    targets, value = [node.target], node.value
+                else:
+                    continue
+                if isinstance(value, ast.Constant) and value.value == 1e-10:
+                    bound += [f"{path.name}: {t.id}" for t in targets if isinstance(t, ast.Name)]
+        assert bound == ["laurent.py: CERTIFY_TOL"]
+
+
 #: (argv, certificates run, verify_qmf calls) for calls that pass.
 CERTIFICATE_COUNTS = [
     ("verify d4.json", 1, 1),
@@ -424,6 +487,8 @@ CONTRACT = {
         ("wrong kind", "cascade loop2.json --iters 2 --out out.csv", 2, "error: "),
         ("not paraunitary", "cascade scaled.json --iters 2 --out out.csv", 1, "failure: "),
         ("not low-pass", "cascade base2.json --iters 2 --out out.csv", 1, "failure: "),
+        # |m_0(1) - 1| = 1e-8: low-pass at --tol
+        ("low-pass at --tol only", "cascade d4p.json --iters 3 --tol 1e-6 --out out.csv", 0, None),
         ("over budget", f"cascade d4.json --iters {10**9} --out out.csv", 2, "error: "),
         ("over budget beyond float range", f"cascade haar.json --iters {10**400} --out out.csv", 2, "error: "),
         ("diverges", "cascade diverging.json --iters 12 --tol 10 --out out.csv", 1, "failure: "),
@@ -451,6 +516,7 @@ CONTRACT = {
         ("missing file", "equiv missing.json loop2.json", 2, "error: "),
         ("broken JSON", "equiv loop2.json broken.json", 2, "error: "),
         ("not paraunitary", "equiv loop2.json badloop.json", 1, "failure: "),
+        ("sizes differ", "equiv loop2.json loop4.json", 1, "failure: the loops are not compared: "),
         ("NaN tol", "equiv loop2.json loop2.json --tol nan", 2, "error: "),
         ("offset too large", "equiv loop2.json bigoffsetloop.json", 2, "error: "),
         ("span over budget", "equiv loop2.json lagsover.json", 2, "error: "),

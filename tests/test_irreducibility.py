@@ -19,12 +19,11 @@ from loopwave.irreducibility import (
     EQUAL_MODULO_CORNER,
     INEQUIVALENT,
     IRREDUCIBLE,
-    RANK_TOL,
     REDUCIBLE,
     _null_space,
     _verify_witness,
 )
-from loopwave.laurent import TRIM_TOL
+from loopwave.laurent import CERTIFY_TOL, TRIM_TOL
 from loopwave.loopgroup import Loop, random_unitary
 
 
@@ -96,7 +95,7 @@ class TestNullSpace:
             mat = x @ y
             basis = _null_space(mat, cols)
             assert basis.shape == (cols, cols - rank)
-            assert np.array_equal(basis, full_svd_null_space(mat, cols, RANK_TOL))
+            assert np.array_equal(basis, full_svd_null_space(mat, cols, CERTIFY_TOL))
 
     @pytest.mark.parametrize("n, degree, seed", [(2, 1, 0), (2, 4, 1), (3, 2, 2), (4, 3, 3), (8, 2, 4), (16, 1, 5)])
     def test_graded_kernel_inputs(self, n, degree, seed):
@@ -104,7 +103,7 @@ class TestNullSpace:
         tensor = loop.mat.tensor
         for lag in range(len(tensor)):
             others = np.delete(tensor, lag, axis=0).reshape(-1, n)
-            assert np.array_equal(_null_space(others, n), full_svd_null_space(others, n, RANK_TOL))
+            assert np.array_equal(_null_space(others, n), full_svd_null_space(others, n, CERTIFY_TOL))
 
 
 class TestDetectCorner:
