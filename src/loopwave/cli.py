@@ -14,12 +14,12 @@ every command that takes --tol; it is read on every ``main()`` call, and
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
 import os
 import sys
-from pathlib import Path
 from typing import Any
 
 import numpy as np
@@ -119,18 +119,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     grid = qmf._grid_size(loaded.n, args.grid)
     _check_budget("--grid", grid, grid * loaded.n, "grid values", GRID_VALUE_BUDGET)
     report = qmf.verify_qmf(loaded, tol=args.tol, grid_size=grid)
-    _emit(
-        {
-            "n": report.n,
-            "unitary_residual": report.unitary_residual,
-            "scalar_residual": report.scalar_residual,
-            "low_pass": report.low_pass,
-            "grid_residual": report.grid_residual,
-            "tol": report.tol,
-            "passed": report.passed,
-        },
-        args.json,
-    )
+    _emit({**dataclasses.asdict(report), "passed": report.passed}, args.json)
     return PASS if report.passed else FAIL
 
 
@@ -155,8 +144,8 @@ def _witness_report(witness: irreducibility.CornerWitness | None) -> dict[str, A
         "witness": {
             "rank": witness.m,
             "exponents": list(witness.exponents),
-            "vectors": [[[c.real, c.imag] for c in witness.vectors[:, k]] for k in range(witness.m)],
-            "v_matrix": [[[c.real, c.imag] for c in row] for row in witness.v_matrix],
+            "vectors": fileio.complex_pairs(witness.vectors.T),
+            "v_matrix": fileio.complex_pairs(witness.v_matrix),
             "residual": witness.residual,
         }
     }
@@ -226,18 +215,10 @@ def cmd_cuntz_check(args: argparse.Namespace) -> int:
     system = _certified_system(args.path, loaded, args.tol)
     rep = cuntz_rep.build_rep(system, cuntz_rep.Band(-args.band, args.band))
     report = cuntz_rep.verify_cuntz(rep)
-    interior = report.interior
-    _emit(
-        {
-            "isometry_residual": report.isometry_residual,
-            "completeness_residual": report.completeness_residual,
-            "interior": None if interior is None else [interior.k_min, interior.k_max],
-            "tol": args.tol,
-            "passed": report.passes(args.tol),
-        },
-        args.json,
-    )
-    return PASS if report.passes(args.tol) else FAIL
+    passed = report.passes(args.tol)
+    interior = None if report.interior is None else [report.interior.k_min, report.interior.k_max]
+    _emit({**dataclasses.asdict(report), "interior": interior, "tol": args.tol, "passed": passed}, args.json)
+    return PASS if passed else FAIL
 
 
 def cmd_equiv(args: argparse.Namespace) -> int:
@@ -263,28 +244,16 @@ def cmd_complete(args: argparse.Namespace) -> int:
     if isinstance(result, FilterSystem):
         fileio.save_filter_file(args.out, result)
     else:
-        doc = {
-            "version": 1,
-            "kind": "sampled-system",
-            "n": result.n,
-            "grid_size": len(result.base_points),
-            "unitarity_residual": result.unitarity_residual,
-            "base_points": [[z.real, z.imag] for z in result.base_points],
-            "representatives": [
-                [[w.real, w.imag] for w in row] for row in result.representatives
-            ],
-            "values": [
-                [[[v.real, v.imag] for v in fib] for fib in filt] for filt in result.values
-            ],
-        }
-        Path(args.out).write_text(json.dumps(doc, sort_keys=True) + "\n")
+        fileio.save_sampled_system(args.out, result)
     print(f"wrote {args.out}")
     return PASS
 
 
 def cmd_commutant(args: argparse.Namespace) -> int:
     loaded = fileio.load_input(args.path)
-    size = cuntz_rep.attractor_band(_filters(loaded)).size
+    filters = _filters(loaded)
+    # A zero system has no attractor band; |K| = 0 leaves it to the certificate to refuse.
+    size = 0 if all(f.is_zero for f in filters.filters) else cuntz_rep.attractor_band(filters).size
     _check_budget("|K|", size, size**4, "entries of sigma", BAND_ENTRY_BUDGET)
     system = _certified_system(args.path, loaded, args.tol)
     report = cuntz_rep._commutant(system, args.commutant_tol)
@@ -314,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="QMF verification report for a filter file")
     p.add_argument("path")
     p.add_argument("--tol", type=float)
-    p.add_argument("--grid", type=int, default=None, help="default: the smallest multiple of N at or above 256")
+    p.add_argument("--grid", type=int, help=f"default: the smallest multiple of N at or above {qmf.DEFAULT_GRID}")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
@@ -355,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("complete", help="complete a scalar filter to a full system")
     p.add_argument("path")
     p.add_argument("--mode", choices=["fir2", "grid"], default="fir2")
-    p.add_argument("--grid", type=int, default=None, help="default: the smallest multiple of N at or above 256")
+    p.add_argument("--grid", type=int, help=f"default: the smallest multiple of N at or above {qmf.DEFAULT_GRID}")
     p.add_argument("--out", required=True)
     p.add_argument("--tol", type=float)
     p.set_defaults(func=cmd_complete)

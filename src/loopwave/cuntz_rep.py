@@ -24,7 +24,7 @@ import numpy as np
 from .laurent import CERTIFY_TOL, MatrixLaurent, stack
 from .loopgroup import FilterSystem, polyphase_matrix
 
-#: Singular values of sigma - I below this count toward the commutant dimension.
+#: Singular values of sigma - I at or below this count toward the commutant dimension.
 COMMUTANT_TOL = 1e-6
 
 
@@ -377,15 +377,15 @@ def commutant_diagnostic(rep: TruncatedRep, tol: float = COMMUTANT_TOL) -> Commu
     entries V_i[p, k] = sqrt(N) c_{i, p-Nk} come from the taps alone: only
     rep.system is read, and no band of rep changes the answer.  With A
     flattened row-major, sigma = sum_i kron(V_i, conj V_i), and the
-    dimension is the number of singular values of sigma - I below tol (not NaN).
+    dimension is the number of singular values of sigma - I at most tol.  A
+    tol that counts none (one below the smallest, or NaN) is refused with
+    ValueError: the scalars always commute, so no dimension is 0.
     """
     return _commutant(rep.system, tol)
 
 
 def _commutant(system: FilterSystem, tol: float) -> CommutantReport:
     """commutant_diagnostic of a filter system; sigma has |K|^4 entries."""
-    if math.isnan(tol):
-        raise ValueError("tol nan decides no commutant dimension: no singular value compares with NaN")
     attractor = attractor_band(system)
     t_min, coeffs = _filter_stack(system)
     k = np.arange(attractor.k_min, attractor.k_max + 1)
@@ -394,8 +394,10 @@ def _commutant(system: FilterSystem, tol: float) -> CommutantReport:
     v = np.where(inside, math.sqrt(system.n) * coeffs.T[:, np.clip(offsets, 0, len(coeffs) - 1)], 0.0)
     sigma = sum(np.kron(s, s.conj()) for s in v)
     svals = np.linalg.svd(sigma - np.eye(attractor.size**2), compute_uv=False)[::-1]
-    return CommutantReport(
-        dimension=int(np.count_nonzero(svals < tol)),
-        singular_values=svals,
-        band=attractor,
-    )
+    dimension = int(np.count_nonzero(svals <= tol))
+    if dimension == 0:
+        raise ValueError(
+            f"tol {tol!r} decides no commutant dimension: no singular value of sigma - I is at most it, "
+            f"the smallest being {svals[0]:.3e}"
+        )
+    return CommutantReport(dimension=dimension, singular_values=svals, band=attractor)

@@ -10,9 +10,10 @@ Loop file (version 1):
     {"version": 1, "n": 2,
      "entries": [[{"offset": 0, "coeffs": [[re, im], ...]}, ...], ...]}
 
-Coefficients are [re, im] pairs so that Laurent polynomials with negative
-offsets round-trip losslessly.  Every loader refuses a polyphase loop over
-``LAG_BUDGET`` lags, and a writer passes its document through the loader first.
+Every complex value, here and in the sampled-system file of grid-mode
+completion (``save_sampled_system``), is an [re, im] pair.  Every loader refuses
+a polyphase loop over ``LAG_BUDGET`` lags, and a filter or loop writer passes its
+document through the loader first.
 """
 
 from __future__ import annotations
@@ -22,8 +23,11 @@ import sys
 from pathlib import Path
 from typing import Any, Sequence
 
+import numpy as np
+
 from .laurent import LaurentPoly, MatrixLaurent
 from .loopgroup import FilterSystem
+from .qmf import SampledSystem
 
 #: Most lags that the polyphase loop of a file may span.  The certificate's
 #: cost grows as lags^2, and with N, which is not charged: a dense loop of
@@ -46,8 +50,13 @@ def _check_lags(path: str | Path, polys: Sequence[LaurentPoly], block: int) -> N
             raise FileFormatError(f"{path}: the polyphase loop would span {lags} lags, over the budget of {LAG_BUDGET}")
 
 
+def complex_pairs(values: Any) -> list:
+    """A complex array as nested lists, each complex value an [re, im] pair."""
+    return np.stack([np.real(values), np.imag(values)], -1).tolist()
+
+
 def _poly_to_json(p: LaurentPoly) -> dict[str, Any]:
-    return {"offset": p.offset, "coeffs": [[c.real, c.imag] for c in p.coeffs]}
+    return {"offset": p.offset, "coeffs": complex_pairs(p.coeffs)}
 
 
 def _poly_from_json(obj: Any, where: str) -> LaurentPoly:
@@ -152,6 +161,20 @@ def save_loop_file(path: str | Path, mat: MatrixLaurent) -> None:
     }
     _loop_from_doc(doc, path)
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def save_sampled_system(path: str | Path, sampled: SampledSystem) -> None:
+    doc = {
+        "version": 1,
+        "kind": "sampled-system",
+        "n": sampled.n,
+        "grid_size": len(sampled.base_points),
+        "unitarity_residual": sampled.unitarity_residual,
+        "base_points": complex_pairs(sampled.base_points),
+        "representatives": complex_pairs(sampled.representatives),
+        "values": complex_pairs(sampled.values),
+    }
+    Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def load_input(path: str | Path) -> FilterSystem | MatrixLaurent:

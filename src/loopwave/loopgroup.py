@@ -88,6 +88,8 @@ def certify_loop(mat: MatrixLaurent, tol: float = CERTIFY_TOL) -> Loop:
     """Check paraunitarity at the coefficient level and wrap as a certified loop."""
     ok, residual = mat.is_paraunitary(tol)
     if not ok:
+        if not residual > tol:  # a NaN on either side
+            raise ValueError(f"not certified at tol {tol:.3e}: residual {residual:.3e}, and NaN compares with nothing")
         raise ValueError(f"not paraunitary: residual {residual:.3e} > tol {tol:.3e}")
     return Loop(mat, certified=True)
 

@@ -743,10 +743,19 @@ class TestEnvironmentTolerance:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {env} must be a non-negative number") and captured.err.count("\n") == 1
 
-    def test_zero_is_valid(self, haar_path, monkeypatch, capsys):
+    def test_zero_is_valid(self, haar_path, tmp_path, monkeypatch, capsys):
         assert main(["verify", haar_path, "--tol", "0"]) == 0
         monkeypatch.setenv("LOOPWAVE_TOL", "0")
-        assert main(["commutant", haar_path, "--commutant-tol", "0"]) == 0
+        capsys.readouterr()
+        # Haar's smallest singular value of sigma - I is not exactly 0, so tol 0
+        # counts none, and no commutant has dimension 0.
+        assert main(["commutant", haar_path, "--commutant-tol", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("failure: tol 0.0 decides no commutant dimension: ") and err.count("\n") == 1
+        base = tmp_path / "base2.json"
+        fileio.save_filter_file(base, base_system(2))
+        assert main(["commutant", str(base), "--commutant-tol", "0", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["dimension"] == 2
 
 
 def _env_importing_loopwave() -> dict[str, str]:

@@ -2,6 +2,7 @@
 table, and how many certificates each command runs."""
 
 import ast
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import loopwave as lw
-from loopwave import FilterSystem, LaurentPoly, MatrixLaurent, cuntz_rep, fileio, qmf
+from loopwave import FilterSystem, LaurentPoly, MatrixLaurent, cli, cuntz_rep, fileio, qmf
 from loopwave.cli import main
 
 from conftest import raised_d4_system, seeded_lowpass_system, seeded_system
@@ -117,6 +118,8 @@ def _write_inputs(root: Path) -> None:
         "m0vast": {"version": 1, "n": 10**400, "filters": [{"offset": 0, "coeffs": [[0.5, 0], [0.5, 0]]}]},
         # m_0 = (-1/2, 2, -1/2): certificate residual 7.5, scalar residual 4, m_0(1) = 1; its cascade diverges
         "diverging": {**haar, "filters": [{"offset": 0, "coeffs": [[-0.5, 0], [2, 0], [-0.5, 0]]}, {"offset": 0, "coeffs": [[0.5, 0], [-0.5, 0]]}]},
+        # every filter identically zero: no attractor band, and a certificate residual of 1
+        "zero": {**haar, "filters": [{"offset": 0, "coeffs": [[0, 0]]}] * 2},
     }
     for name, doc in malformed.items():
         (root / f"{name}.json").write_text(json.dumps(doc))
@@ -218,6 +221,34 @@ class TestBattery:
         report = json.loads(_run("cuntz-check d4.json --band 0 --json".split(), capsys)[1], parse_constant=refuse)
         assert report["interior"] is None and report["completeness_residual"] is None
         assert "\ncompleteness_residual: nan\n" in _run("cuntz-check d4.json --band 0".split(), capsys)[1]  # text: unchanged
+
+
+class TestOneOwner:
+    """fileio writes every [re, im] pair and every v1 document, and the
+    verify and cuntz-check reports are their library dataclasses."""
+
+    def test_the_cli_builds_no_pair_and_no_document(self):
+        tree = ast.parse(Path(cli.__file__).read_text())
+        built = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.List) and [getattr(e, "attr", None) for e in node.elts] == ["real", "imag"]:
+                built.append(f"line {node.lineno}: an [re, im] pair")
+            if isinstance(node, ast.Dict) and any(isinstance(k, ast.Constant) and k.value == "version" for k in node.keys):
+                built.append(f"line {node.lineno}: a versioned document")
+        assert built == []
+
+    @pytest.mark.parametrize(
+        "argv, report, own",
+        [
+            ("verify d4.json --json", qmf.QmfReport, {"passed"}),
+            ("cuntz-check d4.json --band 3 --json", cuntz_rep.CuntzReport, {"tol", "passed"}),
+        ],
+        ids=["verify", "cuntz-check"],
+    )
+    def test_json_keys_are_the_report_fields(self, argv, report, own, inputs, capsys):
+        code, out, _, _ = _run(argv.split(), capsys)
+        assert code == 0
+        assert set(json.loads(out)) == {f.name for f in dataclasses.fields(report)} | own
 
 
 class TestCallerTolerance:
@@ -327,6 +358,7 @@ NAN_CASES = [
     ("verify_qmf", lambda: lw.verify_qmf(lw.daubechies4_system(), tol=NAN).passed, None, None),
     ("low_pass_check", lambda: lw.low_pass_check(lw.daubechies4_lowpass(), NAN), None, None),
     ("is_paraunitary", lambda: MatrixLaurent.identity(2).is_paraunitary(NAN).ok, None, None),
+    ("certify_loop", lambda: lw.certify_loop(MatrixLaurent.identity(2), NAN), ValueError, r"^not certified at tol nan: residual 0\.000e\+00, and NaN compares with nothing$"),
 ]
 
 
@@ -552,6 +584,10 @@ CONTRACT = {
         ("negative size", "commutant d4.json --band -5", 2, "error: "),
         ("NaN tol", "commutant d4.json --tol nan", 2, "error: "),
         ("offset too large", "commutant bigoffset.json", 2, "error: "),
+        # charged |K| = 0, then refused by its certificate like every other command
+        ("identically zero", "commutant zero.json", 1, "failure: zero.json: not paraunitary: residual 1.000e+00 > tol "),
+        # the smallest singular value of sigma - I is about 2e-16, so none counts
+        ("--commutant-tol 0", "commutant haar.json --commutant-tol 0", 1, "failure: tol 0.0 decides no commutant dimension: "),
     ],
 }
 

@@ -66,6 +66,10 @@ class TestBuildRep:
             for col in s.T:
                 assert np.count_nonzero(col) <= 4
 
+    def test_repr_names_system_and_bands(self, haar):
+        rep = build_rep(haar, Band(-2, 2))
+        assert repr(rep) == f"TruncatedRep(system={haar!r}, in_band={Band(-2, 2)!r}, out_band={rep.out_band!r})"
+
     def test_unverified_rejected(self, haar):
         with pytest.raises(ValueError):
             build_rep(haar.with_verified(False), Band(-2, 2))
@@ -233,6 +237,29 @@ class TestTransitionSymbols:
             transition_operator_matrix(build_rep(base2, Band(-6, 6)), build_rep(haar, Band(-5, 5)))
 
 
+def _no_interior_rep() -> TruncatedRep:
+    return build_rep(daubechies4_system(), Band(0, 0))
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: Band(3, 2), r"^empty band \[3, 2\]$"),
+        (lambda: attractor_band(FilterSystem(2, [LaurentPoly.zero()] * 2)), "^filter system is identically zero$"),
+        (lambda: reconstruct(build_rep(haar_system(), Band(-2, 2)), np.zeros(3)), r"^vector length \(3,\) does not match output band size"),
+        (lambda: reconstruct(_no_interior_rep(), np.zeros(_no_interior_rep().out_band.size)), "^representation has no interior band$"),
+        (
+            lambda: transition_operator_matrix(build_rep(haar_system(), Band(-2, 2)), build_rep(base_system(3), Band(-2, 2))),
+            "^representations have different scales$",
+        ),
+    ],
+    ids=["empty band", "zero system", "reconstruct length", "reconstruct without interior", "transition across scales"],
+)
+def test_refusals(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def _shifted(system, k):
     """The system with every filter multiplied by z^k, certified."""
     return certify(FilterSystem(system.n, [f * LaurentPoly.monomial(k) for f in system.filters]))
@@ -316,6 +343,22 @@ class TestCommutantDiagnostic:
         for name, system in COMMUTANT_SYSTEMS.items():
             expected = _commutant_bytes(commutant_diagnostic(build_rep(system, attractor_band(system))))
             assert _commutant_bytes(commutant_diagnostic(build_rep(system, band))) == expected, name
+
+    def test_counts_singular_values_at_most_tol(self):
+        # sigma - I of the identity's filters has two singular values exactly 0
+        report = commutant_diagnostic(build_rep(base_system(2), Band(0, 0)), 0.0)
+        assert report.dimension == 2 and report.singular_values[1] == 0.0
+        d4 = commutant_diagnostic(build_rep(daubechies4_system(), Band(0, 0)))
+        at_smallest = commutant_diagnostic(build_rep(daubechies4_system(), Band(0, 0)), float(d4.singular_values[0]))
+        assert at_smallest.dimension == d4.dimension == 1
+
+    @pytest.mark.parametrize("system", [haar_system(), daubechies4_system()], ids=["haar", "d4"])
+    def test_a_tol_that_counts_none_is_refused(self, system):
+        smallest = commutant_diagnostic(build_rep(system, Band(0, 0))).singular_values[0]
+        assert smallest > 0.0
+        match = f"^tol 0.0 decides no commutant dimension: .* the smallest being {smallest:.3e}$"
+        with pytest.raises(ValueError, match=match):
+            commutant_diagnostic(build_rep(system, Band(0, 0)), 0.0)
 
     def test_reports_are_pinned(self):
         # SHA-256 of the dimension, K and singular-value bytes on the

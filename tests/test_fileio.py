@@ -1,15 +1,18 @@
 import json
 
+import numpy as np
 import pytest
 
-from loopwave import FilterSystem, LaurentPoly, MatrixLaurent, daubechies4_system
+from loopwave import FilterSystem, LaurentPoly, MatrixLaurent, complete, daubechies4_system
 from loopwave.fileio import (
     FileFormatError,
+    complex_pairs,
     detect_kind,
     load_filter_file,
     load_loop_file,
     save_filter_file,
     save_loop_file,
+    save_sampled_system,
 )
 
 
@@ -60,6 +63,7 @@ def test_detect_kind(tmp_path):
         {"version": 1, "n": 2, "filters": [{"offset": 0, "coeffs": [[10**400, 0]]}] * 2},  # too large for a float
         {"version": 1, "n": 2, "filters": [{"offset": 2**31, "coeffs": [[1, 0]]}] * 2},
         {"version": 1, "n": 2, "filters": [{"offset": -(2**31), "coeffs": [[1, 0]]}] * 2},
+        [{"version": 1, "n": 2, "filters": []}],  # top level not an object
     ],
 )
 def test_malformed_filter_documents_rejected(tmp_path, doc):
@@ -102,6 +106,32 @@ def test_partial_load_for_completion_input(tmp_path):
     assert n == 3 and len(polys) == 1
     with pytest.raises(FileFormatError):
         load_filter_file(path)
+
+
+@pytest.mark.parametrize("count", [0, 3])
+def test_partial_filter_count_outside_one_to_n_rejected(tmp_path, count):
+    path = tmp_path / "m0.json"
+    path.write_text(json.dumps({"version": 1, "n": 2, "filters": [{"offset": 0, "coeffs": [[0.5, 0]]}] * count}))
+    with pytest.raises(FileFormatError, match=f"expected between 1 and 2 filters, got {count}$"):
+        load_filter_file(path, allow_partial=True)
+
+
+def test_complex_pairs():
+    assert complex_pairs((0.5 + 0j, -1j)) == [[0.5, 0.0], [0.0, -1.0]]
+    assert complex_pairs(np.array([[1 + 2j], [3 - 4j]])) == [[[1.0, 2.0]], [[3.0, -4.0]]]
+    assert complex_pairs(()) == []
+
+
+def test_sampled_system_document(tmp_path):
+    sampled = complete(LaurentPoly(0, (0.25, 0.25, 0.25, 0.25)), 4, mode="grid", grid_size=8)
+    path = tmp_path / "sampled.json"
+    save_sampled_system(path, sampled)
+    doc = json.loads(path.read_text())
+    assert (doc["version"], doc["kind"], doc["n"], doc["grid_size"]) == (1, "sampled-system", 4, 8)
+    assert doc["unitarity_residual"] == sampled.unitarity_residual
+    for key in ("base_points", "representatives", "values"):
+        pairs = np.array(doc[key])
+        assert np.array_equal(pairs[..., 0] + 1j * pairs[..., 1], getattr(sampled, key)), key
 
 
 def test_ragged_loop_grid_rejected(tmp_path):

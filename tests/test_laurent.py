@@ -57,6 +57,22 @@ class TestArithmetic:
         assert p * 0.5 == LaurentPoly(1, (1.0, 2.0))
         assert p * np.int64(3) == p * 3 == p * np.float64(3)
         assert (p - p).is_zero
+        assert p + 3 == 3 + p == LaurentPoly(0, (3.0, 2.0, 4.0))
+        assert 3 - p == LaurentPoly(0, (3.0, -2.0, -4.0))
+        assert 3 * p == LaurentPoly(1, (6.0, 12.0))
+
+    @pytest.mark.parametrize(
+        "p, text",
+        [
+            (LaurentPoly.zero(), "0"),
+            (LaurentPoly.monomial(1), "(1)*z"),
+            (LaurentPoly.monomial(-2, 0.5), "(0.5)*z^-2"),
+            (LaurentPoly(0, (1.0, 1j)), "(1) + (0+1j)*z"),
+        ],
+        ids=["zero", "z", "z^k", "complex term"],
+    )
+    def test_str(self, p, text):
+        assert str(p) == text
 
 
 def edge_poly(rng):
@@ -516,3 +532,24 @@ class TestTensorStorage:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             MatrixLaurent.from_constant(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize(
+        "call, error, match",
+        [
+            (lambda: MatrixLaurent([[LaurentPoly.one()] * 2, [LaurentPoly.one()]]), ValueError, "^entries must form a nonempty square grid$"),
+            (lambda: MatrixLaurent([[1.0]]), TypeError, "^matrix entries must be LaurentPoly$"),
+            (lambda: MatrixLaurent.from_tensor(0, np.zeros((1, 2, 3))), ValueError, r"^coefficient tensor must have shape \(L, n, n\)"),
+            (lambda: MatrixLaurent.from_constant(np.zeros((2, 3))), ValueError, "^constant matrix must be square$"),
+            (lambda: MatrixLaurent.identity(2).apply(np.ones(3)), ValueError, "^vector length must match matrix size$"),
+            (lambda: unit_grid(0), ValueError, "^grid size must be positive$"),
+        ],
+        ids=["non-square grid", "non-LaurentPoly entry", "tensor shape", "non-square constant", "apply length", "unit_grid(0)"],
+    )
+    def test_refusals(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
+
+    def test_equality_with_other_types_and_repr(self):
+        mat = MatrixLaurent.identity(2)
+        assert (mat == 3) is False and mat != 3
+        assert repr(mat) == "MatrixLaurent(n=2, lo=0, lags=1)"

@@ -214,6 +214,25 @@ class TestGuards:
         with pytest.raises(ValueError):
             FilterSystem(3, [LaurentPoly.one()] * 2)
 
+    @pytest.mark.parametrize(
+        "call, error, match",
+        [
+            (lambda: FilterSystem(1, [LaurentPoly.one()]), ValueError, "^scale must be >= 2, got 1$"),
+            (lambda: FilterSystem(2, [LaurentPoly.one(), 1.0]), TypeError, "^filters must be LaurentPoly$"),
+            (lambda: base_system(2).distance(base_system(3)), ValueError, "^scale mismatch$"),
+        ],
+        ids=["scale 1", "non-LaurentPoly filter", "distance across scales"],
+    )
+    def test_filter_system_refusals(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
+
+    def test_indexing_and_loop_distance(self):
+        system = base_system(3)
+        assert [system[i] for i in range(3)] == list(system.filters)
+        a, b = dft2_loop(), certify_loop(MatrixLaurent.identity(2))
+        assert a.distance(b) == a.mat.distance(b.mat) == pytest.approx(1 + 1 / ROOT2)  # at the entry (1, 1)
+
 
 class TestPolyphaseProducts:
     """act and transition as polyphase products, against the literal fiber sums."""

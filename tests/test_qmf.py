@@ -138,6 +138,10 @@ class TestScalarQmf:
     def test_detects_violation(self):
         assert verify_scalar_qmf(LaurentPoly.one(), 2) == pytest.approx(0.5)
 
+    def test_scale_one_rejected(self):
+        with pytest.raises(ValueError, match="^scale must be >= 2, got 1$"):
+            verify_scalar_qmf(LaurentPoly.one(), 1)
+
 
 class TestLowPass:
     def test_haar(self, haar):
@@ -235,6 +239,10 @@ class TestGridCompletion:
     def test_bad_grid_rejected(self):
         with pytest.raises(ValueError):
             complete(daubechies4_lowpass(), 2, mode="grid", grid_size=33)
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="^unknown completion mode 'x'$"):
+            complete(daubechies4_lowpass(), 2, mode="x")
 
 
 class TestMeasureInvariance:

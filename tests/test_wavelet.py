@@ -53,6 +53,11 @@ def box_samples(level, support_cells):
     return out
 
 
+def _zero_generator_system() -> FilterSystem:
+    """Haar's m_0 beside a zero generator, marked verified without a certificate."""
+    return FilterSystem(2, [LaurentPoly(0, (0.5, 0.5)), LaurentPoly.zero()], verified=True)
+
+
 class TestCascade:
     @pytest.mark.parametrize("level", [1, 2, 6])
     def test_haar_fixed_point_is_box(self, haar, level):
@@ -111,6 +116,35 @@ class TestCascade:
         # scalar residual 4 and m_0(1) = 1: passes at tol 10, and sup |phi| passes 1e6 at iteration 10
         with pytest.raises(ValueError, match="diverged"):
             cascade(LaurentPoly(0, (-0.5, 2, -0.5)), 2, 12, tol=10)
+
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda: cascade(LaurentPoly(0, (0.5, 0.5)), 2, -1), "^level must be >= 0$"),
+            (lambda: refinement_residual(cascade(LaurentPoly(0, (0.5, 0.5)), 2, 0)), "^refinement residual needs at least one cascade level$"),
+            (lambda: wavelets(FilterSystem(2, haar_system().filters), cascade(LaurentPoly(0, (0.5, 0.5)), 2, 3)), "^wavelets require a verified filter system$"),
+            (lambda: check_intertwine(haar_system(), cascade(stretched_box_lowpass(3), 3, 2), {0: 1.0}), "^grid incompatibility between system and samples$"),
+            (lambda: check_intertwine(haar_system(), cascade(LaurentPoly(0, (0.5, 0.5)), 2, 0), {0: 1.0}), "^intertwining check needs at least one cascade level$"),
+            (lambda: orthonormality_check(cascade(LaurentPoly(0, (0.5, 0.5)), 2, 3), -1), "^k_range must be >= 0$"),
+            (lambda: wavelets(_zero_generator_system(), cascade(LaurentPoly(0, (0.5, 0.5)), 2, 3)), "^generator filters must be nonzero$"),
+        ],
+        ids=[
+            "cascade level -1",
+            "refinement at level 0",
+            "wavelets unverified",
+            "intertwine scales",
+            "intertwine level 0",
+            "k_range -1",
+            "zero generator",
+        ],
+    )
+    def test_refusals(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+    def test_samples_of_phi_alone_without_nonzero_generators(self):
+        phi = cascade(LaurentPoly(0, (0.5, 0.5)), 2, 3)
+        assert wavelet.cascade_samples(_zero_generator_system(), 3) == len(phi.values) == 9
 
     @pytest.mark.parametrize("level", [4, 7])
     def test_refinement_consistency(self, d4, level):
