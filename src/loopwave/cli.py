@@ -256,7 +256,10 @@ def cmd_commutant(args: argparse.Namespace) -> int:
     size = 0 if all(f.is_zero for f in filters.filters) else cuntz_rep.attractor_band(filters).size
     _check_budget("|K|", size, size**4, "entries of sigma", BAND_ENTRY_BUDGET)
     system = _certified_system(args.path, loaded, args.tol)
-    report = cuntz_rep._commutant(system, args.commutant_tol)
+    try:
+        report = cuntz_rep._commutant(system, args.commutant_tol)
+    except ValueError as exc:
+        raise ValueError(f"{args.path}: {exc}") from exc
     svals = np.array2string(report.singular_values[:16], precision=3, separator=", ")
     _emit(
         {

@@ -378,14 +378,17 @@ def commutant_diagnostic(rep: TruncatedRep, tol: float = COMMUTANT_TOL) -> Commu
     rep.system is read, and no band of rep changes the answer.  With A
     flattened row-major, sigma = sum_i kron(V_i, conj V_i), and the
     dimension is the number of singular values of sigma - I at most tol.  A
-    tol that counts none (one below the smallest, or NaN) is refused with
-    ValueError: the scalars always commute, so no dimension is 0.
+    tol that counts none is refused with ValueError, since the scalars always
+    commute and no dimension is 0: a NaN or negative tol before sigma is built,
+    and one below the smallest singular value after.
     """
     return _commutant(rep.system, tol)
 
 
 def _commutant(system: FilterSystem, tol: float) -> CommutantReport:
     """commutant_diagnostic of a filter system; sigma has |K|^4 entries."""
+    if not tol >= 0:
+        raise ValueError(f"tol {tol!r} decides no commutant dimension: it is not a number >= 0")
     attractor = attractor_band(system)
     t_min, coeffs = _filter_stack(system)
     k = np.arange(attractor.k_min, attractor.k_max + 1)

@@ -18,6 +18,7 @@ document through the loader first.
 
 from __future__ import annotations
 
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -52,11 +53,13 @@ def _check_lags(path: str | Path, polys: Sequence[LaurentPoly], block: int) -> N
 
 def complex_pairs(values: Any) -> list:
     """A complex array as nested lists, each complex value an [re, im] pair."""
-    return np.stack([np.real(values), np.imag(values)], -1).tolist()
+    return np.array(values, dtype=complex)[..., None].view(float).tolist()
 
 
-def _poly_to_json(p: LaurentPoly) -> dict[str, Any]:
-    return {"offset": p.offset, "coeffs": complex_pairs(p.coeffs)}
+def _polys_to_json(polys: Sequence[LaurentPoly]) -> list[dict[str, Any]]:
+    """Records of polys; their coefficients are encoded in one call, not one per polynomial."""
+    pairs = iter(complex_pairs([c for p in polys for c in p.coeffs]))
+    return [{"offset": p.offset, "coeffs": list(itertools.islice(pairs, len(p.coeffs)))} for p in polys]
 
 
 def _poly_from_json(obj: Any, where: str) -> LaurentPoly:
@@ -127,11 +130,7 @@ def _filters_from_doc(doc: Any, path: str | Path, allow_partial: bool = False) -
 
 
 def save_filter_file(path: str | Path, system: FilterSystem) -> None:
-    doc = {
-        "version": 1,
-        "n": system.n,
-        "filters": [_poly_to_json(f) for f in system.filters],
-    }
+    doc = {"version": 1, "n": system.n, "filters": _polys_to_json(system.filters)}
     _filters_from_doc(doc, path)
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
@@ -154,11 +153,9 @@ def _loop_from_doc(doc: Any, path: str | Path) -> MatrixLaurent:
 
 
 def save_loop_file(path: str | Path, mat: MatrixLaurent) -> None:
-    doc = {
-        "version": 1,
-        "n": mat.n,
-        "entries": [[_poly_to_json(mat[i, j]) for j in range(mat.n)] for i in range(mat.n)],
-    }
+    n = mat.n
+    records = _polys_to_json([mat[i, j] for i in range(n) for j in range(n)])
+    doc = {"version": 1, "n": n, "entries": [records[i * n : (i + 1) * n] for i in range(n)]}
     _loop_from_doc(doc, path)
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 

@@ -55,10 +55,11 @@ def seeded_lowpass_system(n: int, degree: int, seed: int) -> FilterSystem:
     return loop_to_filters(certify_loop(MatrixLaurent.from_constant(turn) @ loop.mat))
 
 
-def raised_d4_system() -> FilterSystem:
+def raised_d4_system(by: float = 1e-8) -> FilterSystem:
     """d4 with m_0's first tap raised by 1e-8: |m_0(1) - 1| = 1e-8, a
     certificate residual of about 1.37e-8 and a scalar residual of about
-    6.8e-9, so it passes at 1e-6 and fails at the default tol."""
+    6.8e-9, so it passes at 1e-6 and fails at the default tol.  Raised by
+    1e-5, its certificate residual is about 1.37e-5."""
     d4 = daubechies4_system()
     m0 = d4.filters[0]
-    return FilterSystem(2, [LaurentPoly(m0.offset, (m0.coeffs[0] + 1e-8,) + m0.coeffs[1:]), d4.filters[1]])
+    return FilterSystem(2, [LaurentPoly(m0.offset, (m0.coeffs[0] + by,) + m0.coeffs[1:]), d4.filters[1]])

@@ -751,7 +751,7 @@ class TestEnvironmentTolerance:
         # counts none, and no commutant has dimension 0.
         assert main(["commutant", haar_path, "--commutant-tol", "0"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("failure: tol 0.0 decides no commutant dimension: ") and err.count("\n") == 1
+        assert err.startswith(f"failure: {haar_path}: tol 0.0 decides no commutant dimension: ") and err.count("\n") == 1
         base = tmp_path / "base2.json"
         fileio.save_filter_file(base, base_system(2))
         assert main(["commutant", str(base), "--commutant-tol", "0", "--json"]) == 0

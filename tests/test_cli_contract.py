@@ -124,6 +124,7 @@ def _write_inputs(root: Path) -> None:
     for name, doc in malformed.items():
         (root / f"{name}.json").write_text(json.dumps(doc))
     fileio.save_filter_file(root / "d4p.json", raised_d4_system())
+    fileio.save_filter_file(root / "d4loose.json", raised_d4_system(1e-5))
 
 
 INPUTS = [
@@ -587,7 +588,14 @@ CONTRACT = {
         # charged |K| = 0, then refused by its certificate like every other command
         ("identically zero", "commutant zero.json", 1, "failure: zero.json: not paraunitary: residual 1.000e+00 > tol "),
         # the smallest singular value of sigma - I is about 2e-16, so none counts
-        ("--commutant-tol 0", "commutant haar.json --commutant-tol 0", 1, "failure: tol 0.0 decides no commutant dimension: "),
+        ("--commutant-tol 0", "commutant haar.json --commutant-tol 0", 1, "failure: haar.json: tol 0.0 decides no commutant dimension: "),
+        # certified at --tol 1e-4 (residual 1.37e-5); the smallest singular value, 4.8e-6, is over the default 1e-6
+        (
+            "certified at a loose --tol",
+            "commutant d4loose.json --tol 1e-4",
+            1,
+            "failure: d4loose.json: tol 1e-06 decides no commutant dimension: ",
+        ),
     ],
 }
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_vector, seeded_system
+from conftest import raised_d4_system, random_vector, seeded_system
 from helpers import (
     brute_interior,
     dense_cuntz_residuals,
@@ -359,6 +359,23 @@ class TestCommutantDiagnostic:
         match = f"^tol 0.0 decides no commutant dimension: .* the smallest being {smallest:.3e}$"
         with pytest.raises(ValueError, match=match):
             commutant_diagnostic(build_rep(system, Band(0, 0)), 0.0)
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0], ids=["nan", "negative"])
+    def test_a_nan_or_negative_tol_is_refused_before_sigma(self, tol, monkeypatch):
+        import loopwave.cuntz_rep
+
+        rep = build_rep(daubechies4_system(), Band(0, 0))
+        monkeypatch.setattr(loopwave.cuntz_rep, "attractor_band", lambda system: pytest.fail("sigma was built"))
+        with pytest.raises(ValueError, match=f"^tol {tol!r} decides no commutant dimension: it is not a number >= 0$"):
+            commutant_diagnostic(rep, tol)
+
+    def test_a_loosely_certified_system_counts_none_at_the_default(self):
+        # certificate residual 1.37e-5: sigma - I has no singular value at
+        # most COMMUTANT_TOL, and the scalars are counted at 1e-4
+        rep = build_rep(certify(raised_d4_system(1e-5), tol=1e-4), Band(0, 0))
+        with pytest.raises(ValueError, match=r"^tol 1e-06 decides no commutant dimension: .* the smallest being 4\.830e-06$"):
+            commutant_diagnostic(rep)
+        assert commutant_diagnostic(rep, 1e-4).dimension == 1
 
     def test_reports_are_pinned(self):
         # SHA-256 of the dimension, K and singular-value bytes on the
