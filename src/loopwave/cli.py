@@ -196,10 +196,7 @@ def cmd_cascade(args: argparse.Namespace) -> int:
             columns = [_cells(index * phi.step), _cells(phi.values[index])]
             fine = index * system.n - psi.start_index
             inside = (fine >= 0) & (fine < psi.values.shape[1])
-            for g in range(system.n - 1):
-                col = np.zeros(len(index), dtype=psi.values.dtype)
-                col[inside] = psi.values[g, fine[inside]]
-                columns.append(_cells(col))
+            columns += map(_cells, np.where(inside, psi.values[:, np.clip(fine, 0, psi.values.shape[1] - 1)], 0.0))
             fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
     print(
         f"wrote {args.out} ({len(phi.values)} rows, seed={phi.seed}, "

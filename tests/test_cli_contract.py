@@ -2,9 +2,13 @@
 table, and how many certificates each command runs."""
 
 import ast
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
+import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +19,8 @@ from loopwave import FilterSystem, LaurentPoly, MatrixLaurent, cli, cuntz_rep, f
 from loopwave.cli import main
 
 from conftest import raised_d4_system, seeded_lowpass_system, seeded_system
-from test_cli import HELP_SHA256, N3_FILTERS, ROOT2, _spread
+from golden import assert_golden
+from test_cli import COMMANDS, N3_FILTERS, ROOT2, _spread
 
 #: The perturbation of loose.json: its certificate residual lies between the
 #: default tolerance and 1e-6.
@@ -156,34 +161,36 @@ BATTERY = [s.format(p=f"{name}.json").split() for name in INPUTS for s in ARGUME
     "commutant d4.json --band -5".split(),
 ]
 
-#: Calls whose exit code changed on purpose, with the code they now give:
-#: loops that pass only at a looser --tol compare at that tolerance, and a
-#: negative size is a usage error.
-CHANGED = {
-    "equiv loose.json loop2.json --tol 1e-6": 0,
-    "equiv loop2.json loose.json --tol 1e-6": 0,
-    "cuntz-check d4.json --band -1": 2,
-    "cascade d4.json --iters -1 --out out.csv": 2,
-    "commutant d4.json --band -5": 2,
-}
-
-#: SHA-256 over (argv, exit code, stdout, written bytes) of every battery
-#: call not in CHANGED, taken from the CLI before one certificate helper
-#: replaced its three loaders (numpy 2.4, x86-64).
-BATTERY_SHA256 = "3075b73eff6ae623ccb9ee19963aa06b078f46e07147cf8ec10c5dd2952d4da9"
-
-
-def _run(argv: list[str], capsys) -> tuple[int, str, str, bytes | None]:
+def _run(argv: list[str]) -> tuple[int, str, str, bytes | None]:
     """(exit code, stdout, stderr, bytes written to out.*) of one call;
     the written file is removed."""
-    code = main(argv)
-    captured = capsys.readouterr()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
     written = None
-    for out in (Path("out.json"), Path("out.csv")):
-        if out.exists():
-            written = out.read_bytes()
-            out.unlink()
-    return code, captured.out, captured.err, written
+    for path in (Path("out.json"), Path("out.csv")):
+        if path.exists():
+            written = path.read_bytes()
+            path.unlink()
+    return code, out.getvalue(), err.getvalue(), written
+
+
+def battery_text() -> str:
+    """tests/golden/battery.jsonl: one JSON line [argv, exit code, stdout,
+    SHA-256 of the bytes written or "-"] per BATTERY call, in order, run in
+    a fresh directory of inputs."""
+    lines, cwd = [], os.getcwd()
+    with tempfile.TemporaryDirectory() as root:
+        _write_inputs(Path(root))
+        os.chdir(root)
+        try:
+            for argv in BATTERY:
+                code, out, _, written = _run(argv)
+                digest = "-" if written is None else hashlib.sha256(written).hexdigest()
+                lines.append(json.dumps([argv, code, out, digest]) + "\n")
+        finally:
+            os.chdir(cwd)
+    return "".join(lines)
 
 
 @pytest.fixture
@@ -195,19 +202,11 @@ def inputs(tmp_path, monkeypatch):
 
 
 class TestBattery:
-    def test_pinned_outputs(self, inputs, capsys):
-        digest, changed = hashlib.sha256(), {}
-        for argv in BATTERY:
-            code, out, _, written = _run(argv, capsys)
-            if " ".join(argv) in CHANGED:
-                changed[" ".join(argv)] = code
-                continue
-            digest.update(json.dumps([argv, code, out]).encode())
-            digest.update(b"-" if written is None else hashlib.sha256(written).digest())
-        assert digest.hexdigest() == BATTERY_SHA256
-        assert changed == CHANGED
+    def test_pinned_outputs(self, monkeypatch):
+        monkeypatch.delenv("LOOPWAVE_TOL", raising=False)
+        assert_golden("battery.jsonl", battery_text())
 
-    def test_json_output_is_strict(self, inputs, capsys):
+    def test_json_output_is_strict(self, inputs):
         """Every --json stdout parses as RFC 8259 JSON: a NaN or infinite
         value prints as null, as cuntz-check's completeness residual does
         on a band with no interior."""
@@ -216,12 +215,12 @@ class TestBattery:
             raise AssertionError(f"{constant} is not JSON")
 
         for argv in [argv for argv in BATTERY if "--json" in argv]:
-            out = _run(argv, capsys)[1]
+            out = _run(argv)[1]
             if out:
                 json.loads(out, parse_constant=refuse)
-        report = json.loads(_run("cuntz-check d4.json --band 0 --json".split(), capsys)[1], parse_constant=refuse)
+        report = json.loads(_run("cuntz-check d4.json --band 0 --json".split())[1], parse_constant=refuse)
         assert report["interior"] is None and report["completeness_residual"] is None
-        assert "\ncompleteness_residual: nan\n" in _run("cuntz-check d4.json --band 0".split(), capsys)[1]  # text: unchanged
+        assert "\ncompleteness_residual: nan\n" in _run("cuntz-check d4.json --band 0".split())[1]  # text: unchanged
 
 
 class TestOneOwner:
@@ -246,8 +245,8 @@ class TestOneOwner:
         ],
         ids=["verify", "cuntz-check"],
     )
-    def test_json_keys_are_the_report_fields(self, argv, report, own, inputs, capsys):
-        code, out, _, _ = _run(argv.split(), capsys)
+    def test_json_keys_are_the_report_fields(self, argv, report, own, inputs):
+        code, out, _, _ = _run(argv.split())
         assert code == 0
         assert set(json.loads(out)) == {f.name for f in dataclasses.fields(report)} | own
 
@@ -260,9 +259,9 @@ class TestCallerTolerance:
         ok, residual = _loose_loop().is_paraunitary(1e-6)
         assert ok and residual > 1e-10
 
-    def test_equiv_cli(self, inputs, capsys):
-        assert _run(["equiv", "loose.json", "loop2.json"], capsys)[0] == 1
-        code, out, err, _ = _run(["equiv", "loose.json", "loop2.json", "--tol", "1e-6", "--json"], capsys)
+    def test_equiv_cli(self, inputs):
+        assert _run(["equiv", "loose.json", "loop2.json"])[0] == 1
+        code, out, err, _ = _run(["equiv", "loose.json", "loop2.json", "--tol", "1e-6", "--json"])
         assert (code, err) == (0, "")
         assert json.loads(out)["verdict"] == lw.irreducibility.INEQUIVALENT
 
@@ -273,16 +272,16 @@ class TestCallerTolerance:
         with pytest.raises(ValueError, match="not paraunitary"):
             lw.equivalent(a, b)
 
-    def test_corners_are_found_at_the_callers_tolerance(self, inputs, capsys):
+    def test_corners_are_found_at_the_callers_tolerance(self, inputs):
         """A loop certified only within --tol has its corners searched and
         re-checked at --tol, so the exact verdict comes out, not a crash."""
         fileio.save_loop_file(inputs / "turn.json", _near_turn())
         fileio.save_loop_file(inputs / "uloose.json", MatrixLaurent.from_constant(TURN) @ _loose_loop())
         for argv in (["equiv", "turn.json", "ident.json"], ["equiv", "loose.json", "uloose.json"]):
-            code, out, err, _ = _run(argv + ["--tol", "1e-6", "--json"], capsys)
+            code, out, err, _ = _run(argv + ["--tol", "1e-6", "--json"])
             assert (code, err) == (0, "")
             assert json.loads(out)["verdict"] == lw.irreducibility.EQUAL_MODULO_CORNER
-        code, out, err, _ = _run(["classify", "turn.json", "--tol", "1e-6", "--json"], capsys)
+        code, out, err, _ = _run(["classify", "turn.json", "--tol", "1e-6", "--json"])
         assert (code, err) == (0, "")
         report = json.loads(out)
         assert (report["status"], report["witness"]["rank"]) == (lw.irreducibility.REDUCIBLE, 2)
@@ -296,36 +295,36 @@ class TestCallerTolerance:
             lw.detect_corner(c)
 
     @pytest.mark.parametrize("seed", range(48))
-    def test_near_loops_fail_in_one_line(self, seed, inputs, capsys):
+    def test_near_loops_fail_in_one_line(self, seed, inputs):
         """Loops paraunitary only within --tol get a verdict or one failure
         line from classify and equiv, never a traceback."""
         p, up, tol = _near_pair(seed)
         fileio.save_loop_file(inputs / "p.json", p)
         fileio.save_loop_file(inputs / "up.json", up)
         for argv in (["classify", "p.json"], ["equiv", "p.json", "up.json"]):
-            code, _, err, _ = _run(argv + ["--tol", repr(tol)], capsys)
+            code, _, err, _ = _run(argv + ["--tol", repr(tol)])
             assert code in (0, 1)
             assert err == "" or (err.startswith("failure: ") and err.count("\n") == 1)
 
     @pytest.mark.parametrize("name", ["d4", "r3"])
-    def test_rank_decisions_refuse_tol_one(self, name, inputs, capsys):
+    def test_rank_decisions_refuse_tol_one(self, name, inputs):
         fileio.save_loop_file(inputs / "r3.json", lw.random_paraunitary(3, 2, 5).mat)
-        code, out, err, _ = _run(["classify", f"{name}.json", "--tol", "1"], capsys)
+        code, out, err, _ = _run(["classify", f"{name}.json", "--tol", "1"])
         assert (code, out) == (1, "")
         assert err.startswith("failure: tol 1.0 >= 1 decides no rank") and err.count("\n") == 1
 
-    def test_equiv_refusal_names_the_transition_loop(self, inputs, capsys):
+    def test_equiv_refusal_names_the_transition_loop(self, inputs):
         """Both inputs pass at --tol but their transition loop does not."""
         p, up, tol = _near_pair(5)
         assert p.is_paraunitary(tol).ok and up.is_paraunitary(tol).ok
         fileio.save_loop_file(inputs / "p.json", p)
         fileio.save_loop_file(inputs / "up.json", up)
-        code, out, err, _ = _run(["equiv", "p.json", "up.json", "--tol", repr(tol)], capsys)
+        code, out, err, _ = _run(["equiv", "p.json", "up.json", "--tol", repr(tol)])
         assert (code, out) == (1, "")
         assert err.startswith("failure: the loops are not compared: their transition loop A star(B) is not paraunitary")
         assert err.endswith(f" > tol {tol:.3e}\n") and err.count("\n") == 1
 
-    def test_finer_tolerance_than_the_default(self, inputs, capsys):
+    def test_finer_tolerance_than_the_default(self, inputs):
         """Below 1e-10 the transition loop is certified at 1e-10, so inputs
         that pass at --tol are compared even when the product's round-off
         exceeds --tol."""
@@ -335,7 +334,7 @@ class TestCallerTolerance:
         fileio.save_loop_file(inputs / "fa.json", a)
         fileio.save_loop_file(inputs / "fb.json", b)
         for argv in (["equiv", "fa.json", "fb.json", "--tol", repr(tol)], ["equiv", "d4.json", "loop2.json", "--tol", "1e-14"]):
-            code, out, err, _ = _run(argv, capsys)
+            code, out, err, _ = _run(argv)
             assert (code, out, err) == (0, f"verdict: {lw.irreducibility.INEQUIVALENT}\n", "")
 
 
@@ -424,7 +423,7 @@ CERTIFICATE_COUNTS = [
 
 class TestCertificateCount:
     @pytest.mark.parametrize("argv, certificates, reports", CERTIFICATE_COUNTS, ids=[c[0].split(" --out")[0] for c in CERTIFICATE_COUNTS])
-    def test_one_certificate_per_input(self, argv, certificates, reports, inputs, monkeypatch, capsys):
+    def test_one_certificate_per_input(self, argv, certificates, reports, inputs, monkeypatch):
         calls = {"is_paraunitary": 0, "verify_qmf": 0}
 
         def counted(owner, name):
@@ -438,7 +437,7 @@ class TestCertificateCount:
 
         counted(MatrixLaurent, "is_paraunitary")
         counted(qmf, "verify_qmf")
-        assert _run(argv.split(), capsys)[0] == 0
+        assert _run(argv.split())[0] == 0
         assert calls == {"is_paraunitary": certificates, "verify_qmf": reports}
 
 
@@ -474,6 +473,8 @@ CONTRACT = {
         ("boolean version", "verify boolversion.json --json", 2, "error: "),
         ("negative size", "verify haar.json --grid -2", 1, "failure: "),
         ("NaN tol", "verify haar.json --tol nan", 2, "error: "),
+        # Haar's unitary and scalar residuals are exactly 0
+        ("tol 0", "verify haar.json --tol 0", 0, None),
         ("span over budget", "verify lagsover.json", 2, "error: "),
     ],
     "convert --to loop": [
@@ -589,6 +590,8 @@ CONTRACT = {
         ("identically zero", "commutant zero.json", 1, "failure: zero.json: not paraunitary: residual 1.000e+00 > tol "),
         # the smallest singular value of sigma - I is about 2e-16, so none counts
         ("--commutant-tol 0", "commutant haar.json --commutant-tol 0", 1, "failure: haar.json: tol 0.0 decides no commutant dimension: "),
+        # two singular values of the base monomials' sigma - I are exactly 0: dimension 2
+        ("--commutant-tol 0, exact system", "commutant base2.json --commutant-tol 0 --json", 0, None),
         # certified at --tol 1e-4 (residual 1.37e-5); the smallest singular value, 4.8e-6, is over the default 1e-6
         (
             "certified at a loose --tol",
@@ -604,17 +607,16 @@ CONTRACT_CASES = [(command,) + case for command, cases in CONTRACT.items() for c
 
 class TestExitCodeContract:
     def test_every_command_is_covered(self):
-        commands = {argv.split()[0] for _, _, argv, _, _ in CONTRACT_CASES}
-        assert commands == set(HELP_SHA256) - {""}
+        assert {argv.split()[0] for _, _, argv, _, _ in CONTRACT_CASES} == set(COMMANDS)
 
     @pytest.mark.parametrize(
         "command, case, argv, code, prefix", CONTRACT_CASES, ids=[f"{c[0]}: {c[1]}" for c in CONTRACT_CASES]
     )
-    def test_exit_code(self, command, case, argv, code, prefix, inputs, capsys):
+    def test_exit_code(self, command, case, argv, code, prefix, inputs):
         wide = _over_budget_commutant(inputs) if "{wide}" in argv else None
-        got, _, err, written = _run(argv.format(wide=wide).split(), capsys)
+        got, _, err, written = _run(argv.format(wide=wide).split())
         assert got == code
-        assert (written is None) == (code != 0)
+        assert (written is None) == (code != 0 or "--out" not in argv)
         if prefix is None:
             assert err == ""
         else:
@@ -638,7 +640,7 @@ class TestRefusedBeforeTheCertificate:
             "complete lagsover.json --out out.json",
         ],
     )
-    def test_no_certificate(self, argv, inputs, monkeypatch, capsys):
+    def test_no_certificate(self, argv, inputs, monkeypatch):
         import loopwave.cli
 
         def refuse(*args, **kwargs):
@@ -646,22 +648,22 @@ class TestRefusedBeforeTheCertificate:
 
         monkeypatch.setattr(loopwave.cli, "certify_loop", refuse)
         monkeypatch.setattr(MatrixLaurent, "is_paraunitary", refuse)
-        code, _, err, written = _run(argv.format(wide=_over_budget_commutant(inputs)).split(), capsys)
+        code, _, err, written = _run(argv.format(wide=_over_budget_commutant(inputs)).split())
         assert (code, written) == (2, None)
         assert err.startswith("error: ") and "over the budget of" in err
 
-    def test_files_at_the_span_budget_verify(self, inputs, capsys):
+    def test_files_at_the_span_budget_verify(self, inputs):
         at = json.loads((inputs / "loopover.json").read_text())
         at["entries"][1][1]["offset"] = 1023
         (inputs / "loopat.json").write_text(json.dumps(at))
         assert len(fileio.load_loop_file(inputs / "loopat.json").tensor) == fileio.LAG_BUDGET
         assert len(lw.filters_to_loop(fileio.load_filter_file(inputs / "lagsat.json")).mat.tensor) == fileio.LAG_BUDGET
         for argv in ("verify lagsat.json", "classify loopat.json"):
-            code, _, err, _ = _run(argv.split(), capsys)
+            code, _, err, _ = _run(argv.split())
             assert (code, err) == (0, "")
 
-    def test_a_refused_write_leaves_the_file(self, inputs, capsys):
+    def test_a_refused_write_leaves_the_file(self, inputs):
         Path("out.json").write_text("kept")
-        code, _, err, _ = _run("convert loopfar.json --to filters --out out.json".split(), capsys)
+        code, _, err, _ = _run("convert loopfar.json --to filters --out out.json".split())
         assert code == 2
         assert err == "error: out.json: filter 0: offset must be an integer of modulus below 2^31\n"

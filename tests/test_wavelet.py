@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import inspect
 import math
 import tracemalloc
@@ -30,6 +29,7 @@ from loopwave import wavelet
 from loopwave.wavelet import refinement_residual
 
 from conftest import seeded_lowpass_system
+from golden import assert_golden
 from helpers import (
     complex_cascade,
     complex_defect,
@@ -681,70 +681,21 @@ class TestOrthonormality:
         assert orthonormality_check(phi, 4) <= 1e-3
 
 
-PUBLIC_NAMES = [
-    "LaurentPoly",
-    "MatrixLaurent",
-    "FilterSystem",
-    "Loop",
-    "act",
-    "base_system",
-    "certify_loop",
-    "filters_to_loop",
-    "loop_to_filters",
-    "random_paraunitary",
-    "transition",
-    "QmfReport",
-    "SampledSystem",
-    "certify",
-    "complete",
-    "low_pass_check",
-    "verify_measure_invariance",
-    "verify_qmf",
-    "verify_scalar_qmf",
-    "Band",
-    "CuntzReport",
-    "TruncatedRep",
-    "adjoint_apply",
-    "build_rep",
-    "commutant_diagnostic",
-    "reconstruct",
-    "transition_operator_matrix",
-    "verify_cuntz",
-    "CornerWitness",
-    "Verdict",
-    "classify",
-    "detect_corner",
-    "equivalent",
-    "graded_kernels",
-    "GridFunction",
-    "ScalingFunctionSamples",
-    "WaveletSamples",
-    "cascade",
-    "check_intertwine",
-    "orthonormality_check",
-    "synthesize_W",
-    "wavelets",
-    "daubechies4_lowpass",
-    "daubechies4_system",
-    "haar_system",
-    "stretched_box_lowpass",
-    "__version__",
-]
-
-#: SHA-256 of "name(signature)" for every callable in PUBLIC_NAMES, one per
-#: line: a dropped, renamed or re-defaulted parameter changes it.
-SIGNATURES_SHA256 = "4c3bc0bef7d6b5bad2d11ca44d76c995d45be10b831bcb053f8ff56a401c25a5"
+def api_text() -> str:
+    """tests/golden/api.txt: one line per loopwave.__all__ entry, in order,
+    name(signature) for a callable and the bare name otherwise."""
+    lines = []
+    for name in loopwave.__all__:
+        obj = getattr(loopwave, name)
+        lines.append(f"{name}{inspect.signature(obj)}\n" if callable(obj) else f"{name}\n")
+    return "".join(lines)
 
 
 class TestPublicSurface:
-    def test_package_names(self):
-        assert loopwave.__all__ == PUBLIC_NAMES
-
     def test_signatures(self):
-        objs = [(name, getattr(loopwave, name)) for name in PUBLIC_NAMES]
-        lines = [f"{name}{inspect.signature(obj)}" for name, obj in objs if callable(obj)]
-        assert len(lines) == len(PUBLIC_NAMES) - 1  # all but __version__
-        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SIGNATURES_SHA256, "\n".join(lines)
+        """A dropped, renamed or re-defaulted parameter, or a public name
+        added, dropped or moved, changes api.txt."""
+        assert_golden("api.txt", api_text())
 
     def test_sample_attributes(self, d4):
         phi = cascade(d4.filters[0], 2, 3)
