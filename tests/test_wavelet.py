@@ -29,7 +29,7 @@ from loopwave import wavelet
 from loopwave.wavelet import refinement_residual
 
 from conftest import seeded_lowpass_system
-from golden import assert_golden
+from golden import GOLDEN, assert_golden
 from helpers import (
     complex_cascade,
     complex_defect,
@@ -692,6 +692,12 @@ def api_text() -> str:
 
 
 class TestPublicSurface:
+    def test_package_names(self):
+        """__all__ names the entries of api.txt, in order, and each resolves."""
+        pinned = [line.split("(")[0] for line in (GOLDEN / "api.txt").read_text().splitlines()]
+        assert loopwave.__all__ == pinned
+        assert all(hasattr(loopwave, name) for name in pinned)
+
     def test_signatures(self):
         """A dropped, renamed or re-defaulted parameter, or a public name
         added, dropped or moved, changes api.txt."""
