@@ -166,19 +166,6 @@ def _read_windows(rep: TruncatedRep, S: tuple[np.ndarray, ...]) -> tuple[np.ndar
     return windows, rows
 
 
-def _padded_windows(rep: TruncatedRep, support: tuple[int, int]) -> np.ndarray:
-    """rep's windows on a filter support [t_lo, t_hi] that contains its own,
-    with zero rows for the indices outside its own support."""
-    windows, _ = rep.windows
-    length = support[1] - support[0] + 1
-    if windows.shape[1] == length:
-        return windows
-    out = np.zeros((rep.n, length, rep.in_band.size), dtype=complex)
-    offset = _filter_support(rep.system)[0] - support[0]
-    out[:, offset : offset + windows.shape[1]] = windows
-    return out
-
-
 def _scatter(rows: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
     """Sum values into a length-size vector at the positions rows."""
     rows, values = rows.ravel(), values.ravel()
@@ -231,32 +218,33 @@ class CuntzReport:
         )
 
 
-def _lag_products(wa: np.ndarray, wb: np.ndarray, d: int) -> np.ndarray:
-    """Entries (k, k + d) of S_i^(a)* S_j^(b) from windows on one support:
-    out[i, j, k'] is the entry at column k' + max(d, 0) of the product.
+def _lag_products(wa: np.ndarray, wb: np.ndarray, d: int, delta: int) -> np.ndarray:
+    """Entries (k, k + d) of S_i^(a)* S_j^(b) from windows whose supports
+    start delta = t_min^(b) - t_min^(a) apart: out[i, j, k'] is the entry at
+    column k' + max(d, 0) of the product.
 
-    Columns k and k + d of a weighted shift are N d indices apart, so their
-    windows overlap in L - N |d| positions and not at all beyond
-    |d| = floor((L - 1) / N).
+    Position u of a's window in column k and position u - N d - delta of b's
+    window in column k + d hold the same index; they overlap for u in [lo, hi).
     """
     n, length, cols = wa.shape
-    shift = n * abs(d)
-    if d >= 0:
-        a, b = wa[:, shift:, : cols - d], wb[:, : length - shift, d:]
-    else:
-        a, b = wa[:, : length - shift, -d:], wb[:, shift:, : cols + d]
+    shift = n * d + delta
+    lo = max(shift, 0)
+    hi = max(lo, min(length, wb.shape[1] + shift))
+    ka, kb = max(-d, 0), max(d, 0)
+    a, b = wa[:, lo:hi, ka : cols - kb], wb[:, lo - shift : hi - shift, kb : cols - ka]
     return np.einsum("iak,jak->ijk", a.conj(), b)
 
 
-def _lag_residual(wa: np.ndarray, wb: np.ndarray, expected, hermitian: bool) -> float:
-    """max |_lag_products(wa, wb, d) - expected(d)| over every lag d at which
-    two columns' windows overlap; over d >= 0 only for a Hermitian product,
-    whose lag -d holds the moduli of lag d."""
+def _lag_residual(wa: np.ndarray, wb: np.ndarray, delta: int, expected, hermitian: bool) -> float:
+    """max |_lag_products(wa, wb, d, delta) - expected(d)| over every lag d at
+    which two columns' windows overlap, |d| <= (L - 1) // N with L the length
+    of the supports' union; d >= 0 only for a Hermitian product (lag -d mirrors d)."""
     n, length, cols = wa.shape
-    last = min((length - 1) // n, cols - 1)
+    union = max(length, wb.shape[1] + delta) - min(0, delta)
+    last = min((union - 1) // n, cols - 1)
     worst = 0.0
     for d in range(0 if hermitian else -last, last + 1):
-        worst = max(worst, float(np.max(np.abs(_lag_products(wa, wb, d) - expected(d)))))
+        worst = max(worst, float(np.max(np.abs(_lag_products(wa, wb, d, delta) - expected(d)))))
     return worst
 
 
@@ -273,7 +261,7 @@ def verify_cuntz(rep: TruncatedRep) -> CuntzReport:
     n = rep.n
     w, rows = rep.windows
     length = w.shape[1]
-    iso = _lag_residual(w, w, lambda d: np.eye(n)[:, :, None] if d == 0 else 0.0, hermitian=True)
+    iso = _lag_residual(w, w, 0, lambda d: np.eye(n)[:, :, None] if d == 0 else 0.0, hermitian=True)
 
     inner = interior_band(rep)
     if inner is None:
@@ -326,22 +314,22 @@ def transition_operator_matrix(rep_a: TruncatedRep, rep_b: TruncatedRep, tol: fl
     checked entrywise against the symbols' multiplication-operator
     matrices on the input band, which the lossless output band makes
     exact: entry (k, k + d) of the product is the symbol's coefficient of
-    z^-d.  The products are formed lag by lag from windows over the union
-    of the two filter supports; beyond the last lag they are exactly 0.
+    z^-d.  The products are formed lag by lag from each model's own column
+    windows, read at the offset between the two filter supports with no
+    padded copy; beyond the last lag they are exactly 0.
     """
     if rep_a.n != rep_b.n:
         raise ValueError("representations have different scales")
     if rep_a.in_band != rep_b.in_band:
         raise ValueError("representations must share the input band")
-    (a_min, a_max), (b_min, b_max) = _filter_support(rep_a.system), _filter_support(rep_b.system)
-    support = (min(a_min, b_min), max(a_max, b_max))
-    wa, wb = _padded_windows(rep_a, support), _padded_windows(rep_b, support)
+    (wa, _), (wb, _) = rep_a.windows, rep_b.windows
+    delta = _filter_support(rep_b.system)[0] - _filter_support(rep_a.system)[0]
     loop = polyphase_matrix(rep_b.system) @ polyphase_matrix(rep_a.system).star()
     symbols = MatrixLaurent.from_tensor(loop.lo, loop.tensor.transpose(0, 2, 1))
 
     # The symbols have no exponent beyond the last lag either: conj(n_i) m_j
     # has exponents of modulus at most L - 1.
-    worst = _lag_residual(wa, wb, lambda d: symbols.laurent_coefficient(-d)[:, :, None], hermitian=False)
+    worst = _lag_residual(wa, wb, delta, lambda d: symbols.laurent_coefficient(-d)[:, :, None], hermitian=False)
     if not worst <= tol:
         raise RuntimeError(f"operator products disagree with their symbols at tol {tol:.3e}: residual {worst:.3e}")
     return symbols
@@ -391,10 +379,10 @@ def _commutant(system: FilterSystem, tol: float) -> CommutantReport:
         raise ValueError(f"tol {tol!r} decides no commutant dimension: it is not a number >= 0")
     attractor = attractor_band(system)
     t_min, coeffs = _filter_stack(system)
-    k = np.arange(attractor.k_min, attractor.k_max + 1)
-    offsets = k[:, None] - system.n * k[None, :] - t_min
-    inside = (offsets >= 0) & (offsets < len(coeffs))
-    v = np.where(inside, math.sqrt(system.n) * coeffs.T[:, np.clip(offsets, 0, len(coeffs) - 1)], 0.0)
+    rows = _window_rows(system.n, attractor, t_min, len(coeffs), attractor.k_min)
+    taps, cols = np.nonzero((rows >= 0) & (rows < attractor.size))
+    v = np.zeros((system.n, attractor.size, attractor.size), dtype=complex)
+    v[:, rows[taps, cols], cols] = math.sqrt(system.n) * coeffs.T[:, taps]
     sigma = sum(np.kron(s, s.conj()) for s in v)
     svals = np.linalg.svd(sigma - np.eye(attractor.size**2), compute_uv=False)[::-1]
     dimension = int(np.count_nonzero(svals <= tol))

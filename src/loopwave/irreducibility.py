@@ -210,7 +210,14 @@ def detect_corner(loop: Loop, tol: float = CERTIFY_TOL) -> Optional[CornerWitnes
 
 
 def classify(loop: Loop, tol: float = CERTIFY_TOL) -> Verdict:
-    """Irreducible iff no corner exists at tol, under the documented corner reading."""
+    """Irreducible iff no corner exists at tol, under the documented corner reading.
+
+    This is the corner reading, not the commutant of the Cuntz
+    representation: d4 and random_paraunitary(2, 1, 0) read "reducible"
+    with a rank-2 corner, while cuntz_rep.commutant_diagnostic gives their
+    commutant dimension 1 (on Haar both say reducible, dimension 2).
+    Reading reducibility from the commutant is ROADMAP item 2.
+    """
     witness = detect_corner(loop, tol)
     if witness is None:
         return Verdict(status=IRREDUCIBLE, witness=None)

@@ -16,6 +16,7 @@ finite coefficient-level identity rather than a sampling statement.
 from __future__ import annotations
 
 import cmath
+import operator
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -46,6 +47,7 @@ class LaurentPoly:
     coeffs: tuple[complex, ...]
 
     def __init__(self, offset: int, coeffs: Iterable[complex]):
+        offset = operator.index(offset)
         if isinstance(coeffs, np.ndarray) and coeffs.ndim == 1:
             cs = tuple(coeffs.astype(complex, copy=False).tolist())
         else:
@@ -61,7 +63,7 @@ class LaurentPoly:
             object.__setattr__(self, "offset", 0)
             object.__setattr__(self, "coeffs", ())
         else:
-            object.__setattr__(self, "offset", int(offset) + lo)
+            object.__setattr__(self, "offset", offset + lo)
             object.__setattr__(self, "coeffs", cs[lo:hi])
 
     # -- constructors ------------------------------------------------------
@@ -328,6 +330,7 @@ class MatrixLaurent:
     @classmethod
     def from_tensor(cls, lo: int, tensor: np.ndarray) -> MatrixLaurent:
         """The matrix sum_l tensor[l] z^(lo + l), trimmed to canonical form."""
+        lo = operator.index(lo)
         c = np.asarray(tensor, dtype=complex)
         if c.ndim != 3 or c.shape[1] != c.shape[2] or c.shape[1] == 0:
             raise ValueError("coefficient tensor must have shape (L, n, n) with n >= 1")
@@ -338,7 +341,7 @@ class MatrixLaurent:
             return cls._canonical(c.shape[1], 0, np.zeros((0,) + c.shape[1:], dtype=complex))
         start, stop = int(first.min()), int(last.max()) + 1
         c = np.where(_in_span(c, first, last), c, 0.0)[start:stop]
-        return cls._canonical(c.shape[1], int(lo) + start, c)
+        return cls._canonical(c.shape[1], lo + start, c)
 
     # -- constructors ------------------------------------------------------
 

@@ -335,6 +335,17 @@ class TestParaunitarity:
         assert not ok
         assert residual == pytest.approx(3.0)
 
+    def test_overflowing_gram_never_passes(self):
+        from loopwave import certify_loop
+
+        # Finite coefficients whose Gram matrix overflows to inf.
+        mat = MatrixLaurent.from_tensor(0, np.stack([1e200 * np.eye(2), -1e200 * np.eye(2)]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            ok, residual = mat.is_paraunitary()
+            assert not ok and residual == math.inf
+            with pytest.raises(ValueError, match=r"^not paraunitary: residual inf > tol 1\.000e-10$"):
+                certify_loop(mat)
+
     def test_sampled_unitarity_follows(self):
         from loopwave import random_paraunitary
 
@@ -542,8 +553,25 @@ class TestTensorStorage:
             (lambda: MatrixLaurent.from_constant(np.zeros((2, 3))), ValueError, "^constant matrix must be square$"),
             (lambda: MatrixLaurent.identity(2).apply(np.ones(3)), ValueError, "^vector length must match matrix size$"),
             (lambda: unit_grid(0), ValueError, "^grid size must be positive$"),
+            (lambda: LaurentPoly(1.5, [1, 2]), TypeError, "^'float' object cannot be interpreted as an integer$"),
+            (lambda: LaurentPoly(1.5, []), TypeError, "^'float' object cannot be interpreted as an integer$"),
+            (lambda: LaurentPoly("3", [1]), TypeError, "^'str' object cannot be interpreted as an integer$"),
+            (lambda: LaurentPoly.monomial(2.5), TypeError, "^'float' object cannot be interpreted as an integer$"),
+            (lambda: MatrixLaurent.from_tensor(0.7, np.eye(2)[None]), TypeError, "^'float' object cannot be interpreted as an integer$"),
         ],
-        ids=["non-square grid", "non-LaurentPoly entry", "tensor shape", "non-square constant", "apply length", "unit_grid(0)"],
+        ids=[
+            "non-square grid",
+            "non-LaurentPoly entry",
+            "tensor shape",
+            "non-square constant",
+            "apply length",
+            "unit_grid(0)",
+            "float offset",
+            "float offset, zero polynomial",
+            "string offset",
+            "float monomial exponent",
+            "float tensor lo",
+        ],
     )
     def test_refusals(self, call, error, match):
         with pytest.raises(error, match=match):
